@@ -242,8 +242,28 @@ def test_loader_ids_aligned(fixtures_dir):
 # ---------------------------------------------------------------------------
 # save / load round trip
 
-def test_save_load_roundtrip(tmp_path, fixtures_dir):
-    (train, sens), _ = D.load_adult(fixtures_dir / "adult.data", fixtures_dir / "adult.test")
+FAMILIES = {
+    "adult": lambda d: D.load_adult(d / "adult.data", d / "adult.test"),
+    "compas": lambda d: D.load_compas(d / "compas.csv"),
+    "german": lambda d: D.load_german(d / "german.data"),
+}
+
+
+def schema_from_meta(meta_path) -> dict:
+    schema = {"label": "label", "positive_label": "1", "features": {}, "sensitive": {}}
+    for line in meta_path.read_text().splitlines():
+        key, value = line.split("=", 1)
+        section, _, name = key.partition(".")
+        if section == "feature":
+            schema["features"][name] = value
+        elif section == "sensitive":
+            schema["sensitive"][name] = value
+    return schema
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_save_load_roundtrip(tmp_path, fixtures_dir, family):
+    (train, sens), _ = FAMILIES[family](fixtures_dir)
     csv_path, meta_path = tmp_path / "out.csv", tmp_path / "out.meta"
     D.save_dataset(train, sens, csv_path, meta_path)
     ds2, sens2 = D.load_saved(csv_path, meta_path)
@@ -259,6 +279,24 @@ def test_save_load_roundtrip(tmp_path, fixtures_dir):
     D.save_dataset(ds2, sens2, csv2, meta2)
     assert csv2.read_bytes() == csv_path.read_bytes()
     assert meta2.read_bytes() == meta_path.read_bytes()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_schema_loader_matches_saved_golden(fixtures_dir, family):
+    csv_path = fixtures_dir / f"{family}_train_golden.csv"
+    meta_path = fixtures_dir / f"{family}_train_golden.meta"
+    saved, saved_sens = D.load_saved(csv_path, meta_path)
+    ds, sens = D.load_csv_with_schema(csv_path, schema_from_meta(meta_path))
+    assert ds.feature_names == saved.feature_names
+    assert ds.feature_kinds == saved.feature_kinds
+    for name in saved.feature_names:
+        assert ds.columns[name].dtype == saved.columns[name].dtype
+        assert np.array_equal(ds.columns[name], saved.columns[name])
+    assert np.array_equal(ds.labels, saved.labels)
+    assert sens.names == saved_sens.names
+    for name in saved_sens.names:
+        assert sens.raw[name].dtype == saved_sens.raw[name].dtype
+        assert np.array_equal(sens.raw[name], saved_sens.raw[name])
 
 
 def test_fixture_goldens_byte_match(tmp_path, fixtures_dir):
