@@ -9,6 +9,7 @@ error, 4 budget refusal, 5 protocol error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .data import (
     load_compas,
     load_csv_with_schema,
     load_german,
-    stratified_split,
+    split_tables,
 )
 from .errors import (
     BudgetRefusal,
@@ -113,10 +114,7 @@ def _load_dataset(args):
         if args.test:
             test = load_csv_with_schema(args.test, schema)
         else:
-            ds, sens = train
-            tr_idx, te_idx = stratified_split(ds.labels, seed=args.split_seed)
-            train = (ds.take(tr_idx), sens.take(tr_idx))
-            test = (ds.take(te_idx), sens.take(te_idx))
+            train, test = split_tables(*train, seed=args.split_seed)
         return "csv", train, test
     raise DataError(f"unknown dataset {name!r}")
 
@@ -294,12 +292,7 @@ def cmd_experiment(args) -> int:
         else:
             config = paper_scale_exp2(args.seed) if args.paper_scale else desk_scale_exp2(args.seed)
         if args.runs:
-            config = ExperimentConfig(
-                epsilons=config.epsilons, runs=args.runs, mechanisms=config.mechanisms,
-                policy=config.policy, seed=config.seed, minleafs=config.minleafs,
-                exp2_max_height=config.exp2_max_height, exp2_feature_mode=config.exp2_feature_mode,
-                delta=config.delta,
-            )
+            config = dataclasses.replace(config, runs=args.runs)
 
     family, (train_ds, _), (test_ds, test_sens) = _load_dataset(args)
     spec = _encoding_spec(family, args.sensitive)

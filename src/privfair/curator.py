@@ -23,7 +23,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,8 +156,10 @@ class Curator:
             allowed = mech.MECHANISMS + ((mech.EXACT,) if self._allow_exact else ())
             if query.mechanism not in allowed:
                 raise MechanismError(f"mechanism {query.mechanism!r} not available")
-            if query.epsilon <= 0:
-                raise ParameterError("query epsilon must be positive")
+            # validate before the ledger is touched: an invalid query costs nothing
+            params = mech.PrivacyParams(query.epsilon, query.delta)
+            if query.mechanism == mech.GAUSSIAN:
+                mech.gaussian_sigma(params)  # raises outside the Gaussian limits
             digest = query.digest()
             mask = rule_mask(query.clauses, self._data)  # raises on unknown features
 
@@ -181,7 +183,6 @@ class Curator:
                 self._batch_masks[key] = mask if seen is None else (seen | mask)
 
             exact = np.bincount(self._groups[mask], minlength=self.k).astype(float)
-            params = mech.PrivacyParams(query.epsilon, query.delta)
             if query.mechanism == mech.LAPLACE:
                 counts = mech.laplace_histogram(exact, params, self._rng)
             elif query.mechanism == mech.GAUSSIAN:
@@ -318,10 +319,7 @@ class InProcessClient:
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
         if query.identity != self.identity:
-            query = CuratorQuery(
-                query.clauses, query.epsilon, query.mechanism, query.delta,
-                query.composition, query.batch_id, self.identity,
-            )
+            query = replace(query, identity=self.identity)
         return self._curator.answer(query)
 
 
@@ -368,10 +366,7 @@ class WireClient:
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
         if query.identity != self.identity:
-            query = CuratorQuery(
-                query.clauses, query.epsilon, query.mechanism, query.delta,
-                query.composition, query.batch_id, self.identity,
-            )
+            query = replace(query, identity=self.identity)
         self._sock.sendall(encode_frame(query_to_frame(query)))
         line = self._file.readline()
         if not line:

@@ -231,6 +231,72 @@ def stratified_split(
     return np.flatnonzero(mask), test_idx
 
 
+def split_tables(ds: Dataset, sens: SensitiveSet, seed: int = DEFAULT_SPLIT_SEED):
+    """2:1 stratified_split of an id-aligned table pair; returns (train, test) pairs."""
+    train_idx, test_idx = stratified_split(ds.labels, seed=seed)
+    return (ds.take(train_idx), sens.take(train_idx)), (ds.take(test_idx), sens.take(test_idx))
+
+
+# ---------------------------------------------------------------------------
+# Typed-table builder shared by every loader
+
+def _kinds(names, numeric) -> dict[str, str]:
+    return {name: NUMERIC if name in numeric else CATEGORICAL for name in names}
+
+
+def _parse_number(text: str, line_no: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: column {column!r} has non-numeric value {text!r}") from None
+
+
+def _append_row(cols: dict[str, list], kinds: dict[str, str], values, line_no: int) -> None:
+    for (name, kind), value in zip(kinds.items(), values):
+        cols[name].append(_parse_number(value, line_no, name) if kind == NUMERIC else value)
+
+
+def _build_tables(labels, cols, feat_kinds, sens_kinds, ids=None) -> tuple[Dataset, SensitiveSet]:
+    """Type per-column value lists into a Dataset and its id-aligned SensitiveSet.
+
+    The one place a column's kind decides its dtype: numeric columns become
+    float arrays, categorical ones str arrays, and any other kind is
+    rejected. ids default to 0..n-1.
+    """
+    def typed(kinds):
+        out = {}
+        for name, kind in kinds.items():
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise DataError(f"column {name!r} has unknown kind {kind!r}")
+            out[name] = np.array(cols[name], dtype=float if kind == NUMERIC else str)
+        return out
+
+    ids = np.arange(len(labels), dtype=np.int64) if ids is None else np.array(ids, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
+    ds = Dataset(ids, tuple(feat_kinds), dict(feat_kinds), typed(feat_kinds), labels)
+    return ds, SensitiveSet(ids.copy(), typed(sens_kinds))
+
+
+def _header_records(fh, required, what: str):
+    """(line number, record) pairs of a header-row CSV, after checking its shape."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        raise DataError(f"empty {what}")
+    missing = [c for c in required if c not in reader.fieldnames]
+    if missing:
+        raise DataError(f"{what} lacks expected columns: {missing}")
+    for line_no, record in enumerate(reader, start=2):
+        if None in record.values():  # DictReader pads a short row with None
+            got = sum(value is not None for value in record.values())
+            raise DataError(f"line {line_no}: expected {len(reader.fieldnames)} fields, got {got}")
+        yield line_no, record
+
+
+def _column_kinds(feat_kinds: dict, sens_kinds: dict) -> dict[str, str]:
+    """The kind each column is read with; a column named in both maps reads as a feature."""
+    return {name: feat_kinds.get(name, sens_kinds.get(name)) for name in (*feat_kinds, *sens_kinds)}
+
+
 # ---------------------------------------------------------------------------
 # Adult
 
@@ -245,17 +311,13 @@ ADULT_FEATURES = (
     "workclass", "education", "education-num", "marital-status", "occupation",
     "relationship", "capital-gain", "capital-loss", "hours-per-week",
 )
+_ADULT_LABELS = {">50K": 1, "<=50K": 0}
 
 
-def _parse_number(text: str, line_no: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"line {line_no}: column {column!r} has non-numeric value {text!r}") from None
-
-
-def _read_adult_file(path) -> tuple[list[list[str]], list[int]]:
-    rows, lines = [], []
+def _adult_split(path) -> tuple[Dataset, SensitiveSet]:
+    kinds = _kinds(ADULT_COLUMNS[:-1], ADULT_NUMERIC)  # every column but the income label
+    cols = {name: [] for name in kinds}
+    labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -263,60 +325,17 @@ def _read_adult_file(path) -> tuple[list[list[str]], list[int]]:
                 continue
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != len(ADULT_COLUMNS):
-                raise DataError(
-                    f"line {line_no}: expected {len(ADULT_COLUMNS)} fields, got {len(fields)}"
-                )
-            rows.append(fields)
-            lines.append(line_no)
-    return rows, lines
-
-
-def _adult_split(path) -> tuple[Dataset, SensitiveSet]:
-    rows, lines = _read_adult_file(path)
-    kept, kept_lines = [], []
-    for fields, line_no in zip(rows, lines):
-        if "?" in fields:
-            continue  # missing-value rows are removed
-        kept.append(fields)
-        kept_lines.append(line_no)
-    cols = {name: [] for name in ADULT_COLUMNS}
-    labels = []
-    for fields, line_no in zip(kept, kept_lines):
-        record = dict(zip(ADULT_COLUMNS, fields))
-        raw_label = record.pop("income").rstrip(".")
-        if raw_label == ">50K":
-            labels.append(1)
-        elif raw_label == "<=50K":
-            labels.append(0)
-        else:
-            raise DataError(f"line {line_no}: unknown income label {raw_label!r}")
-        for name, value in record.items():
-            if name in ADULT_NUMERIC:
-                cols[name].append(_parse_number(value, line_no, name))
-            else:
-                cols[name].append(value)
-    n = len(labels)
-    ids = np.arange(n, dtype=np.int64)
-    features = {}
-    kinds = {}
-    for name in ADULT_FEATURES:
-        if name in ADULT_NUMERIC:
-            features[name] = np.array(cols[name], dtype=float)
-            kinds[name] = NUMERIC
-        else:
-            features[name] = np.array(cols[name], dtype=str)
-            kinds[name] = CATEGORICAL
-    ds = Dataset(ids, ADULT_FEATURES, kinds, features, np.array(labels, dtype=np.int64))
-    sens = SensitiveSet(
-        ids.copy(),
-        {
-            "race": np.array(cols["race"], dtype=str),
-            "sex": np.array(cols["sex"], dtype=str),
-            "age": np.array(cols["age"], dtype=float),
-            "native-country": np.array(cols["native-country"], dtype=str),
-        },
+                raise DataError(f"line {line_no}: expected {len(ADULT_COLUMNS)} fields, got {len(fields)}")
+            if "?" in fields:
+                continue  # missing-value rows are removed
+            raw_label = fields[-1].rstrip(".")
+            if raw_label not in _ADULT_LABELS:
+                raise DataError(f"line {line_no}: unknown income label {raw_label!r}")
+            labels.append(_ADULT_LABELS[raw_label])
+            _append_row(cols, kinds, fields, line_no)
+    return _build_tables(
+        labels, cols, _kinds(ADULT_FEATURES, ADULT_NUMERIC), _kinds(ADULT_SENSITIVE, ADULT_NUMERIC)
     )
-    return ds, sens
 
 
 def load_adult(train_path, test_path):
@@ -343,7 +362,7 @@ COMPAS_FEATURES = (
     "decile_score", "c_jail_in", "c_jail_out",
 )
 COMPAS_NUMERIC = {
-    "priors_count", "days_b_screening_arrest", "decile_score", "c_jail_in", "c_jail_out",
+    "priors_count", "days_b_screening_arrest", "decile_score", "c_jail_in", "c_jail_out", "age",
 }
 COMPAS_SENSITIVE = ("race", "sex", "age")
 
@@ -368,71 +387,35 @@ def load_compas(path, seed: int = DEFAULT_SPLIT_SEED):
     two years.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("empty COMPAS file")
-        missing = [c for c in COMPAS_REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"COMPAS file lacks expected columns: {missing}")
         rows = []
-        for line_no, record in enumerate(reader, start=2):
+        for line_no, record in _header_records(fh, COMPAS_REQUIRED, "COMPAS file"):
             gap = record["days_b_screening_arrest"].strip()
-            if gap == "":
+            if gap == "" or abs(_parse_number(gap, line_no, "days_b_screening_arrest")) > 30:
                 continue
-            gap_v = _parse_number(gap, line_no, "days_b_screening_arrest")
-            if abs(gap_v) > 30:
-                continue
-            if record["is_recid"].strip() == "-1":
-                continue
-            if record["c_charge_degree"].strip() == "O":
+            if record["is_recid"].strip() == "-1" or record["c_charge_degree"].strip() == "O":
                 continue
             if record["score_text"].strip() in ("N/A", ""):
                 continue
             rows.append((line_no, record))
 
-    n = len(rows)
-    cols: dict[str, list] = {name: [] for name in COMPAS_FEATURES}
-    sens_cols: dict[str, list] = {name: [] for name in COMPAS_SENSITIVE}
+    cols: dict[str, list] = {name: [] for name in (*COMPAS_FEATURES, *COMPAS_SENSITIVE)}
     labels = []
     for line_no, record in rows:
-        for name in ("c_charge_degree", "score_text"):
-            cols[name].append(record[name].strip())
-        for name in ("priors_count", "days_b_screening_arrest", "decile_score"):
+        for name, col in cols.items():
             value = record[name].strip()
-            cols[name].append(math.nan if value == "" else _parse_number(value, line_no, name))
-        for name in ("c_jail_in", "c_jail_out"):
-            cols[name].append(_year_of(record[name].strip(), line_no, name))
-        sens_cols["race"].append(record["race"].strip())
-        sens_cols["sex"].append(record["sex"].strip())
-        age = record["age"].strip()
-        sens_cols["age"].append(math.nan if age == "" else _parse_number(age, line_no, "age"))
+            if name in ("c_jail_in", "c_jail_out"):
+                value = _year_of(value, line_no, name)
+            elif name in COMPAS_NUMERIC:
+                value = math.nan if value == "" else _parse_number(value, line_no, name)
+            col.append(value)
         labels.append(1 - int(record["two_year_recid"].strip()))
-
-    features = {}
-    kinds = {}
     for name in COMPAS_FEATURES:
-        if name in COMPAS_NUMERIC:
-            col = np.array(cols[name], dtype=float)
-            if np.isnan(col).any():
-                med = float(np.nanmedian(col))
-                col = np.where(np.isnan(col), med, col)
-            features[name] = col
-            kinds[name] = NUMERIC
-        else:
-            features[name] = np.array(cols[name], dtype=str)
-            kinds[name] = CATEGORICAL
-    ids = np.arange(n, dtype=np.int64)
-    ds = Dataset(ids, COMPAS_FEATURES, kinds, features, np.array(labels, dtype=np.int64))
-    sens = SensitiveSet(
-        ids.copy(),
-        {
-            "race": np.array(sens_cols["race"], dtype=str),
-            "sex": np.array(sens_cols["sex"], dtype=str),
-            "age": np.array(sens_cols["age"], dtype=float),
-        },
-    )
-    train_idx, test_idx = stratified_split(ds.labels, seed=seed)
-    return (ds.take(train_idx), sens.take(train_idx)), (ds.take(test_idx), sens.take(test_idx))
+        if name in COMPAS_NUMERIC and any(math.isnan(v) for v in cols[name]):
+            med = float(np.nanmedian(cols[name]))
+            cols[name] = [med if math.isnan(v) else v for v in cols[name]]
+    return split_tables(*_build_tables(
+        labels, cols, _kinds(COMPAS_FEATURES, COMPAS_NUMERIC), _kinds(COMPAS_SENSITIVE, COMPAS_NUMERIC)
+    ), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +450,7 @@ def load_german(path, seed: int = DEFAULT_SPLIT_SEED):
     gender). age and foreign_worker are also sensitive. Favorable label (1)
     is good credit. No imputation is needed.
     """
-    rows, lines = [], []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -475,52 +458,26 @@ def load_german(path, seed: int = DEFAULT_SPLIT_SEED):
                 continue
             fields = [f.strip() for f in (line.split(",") if "," in line else line.split())]
             if len(fields) != len(GERMAN_COLUMNS):
-                raise DataError(
-                    f"line {line_no}: expected {len(GERMAN_COLUMNS)} fields, got {len(fields)}"
-                )
-            rows.append(fields)
-            lines.append(line_no)
+                raise DataError(f"line {line_no}: expected {len(GERMAN_COLUMNS)} fields, got {len(fields)}")
+            rows.append((line_no, fields))
 
-    cols = {name: [] for name in GERMAN_COLUMNS}
-    gender, labels = [], []
-    for fields, line_no in zip(rows, lines):
+    kinds = _kinds(GERMAN_COLUMNS, GERMAN_NUMERIC)
+    cols = {name: [] for name in (*kinds, "gender")}
+    labels = []
+    for line_no, fields in rows:
         record = dict(zip(GERMAN_COLUMNS, fields))
         code = record["personal_status_sex"]
         if code not in GERMAN_GENDER:
             raise DataError(f"line {line_no}: unknown marital-status code {code!r}")
-        gender.append(GERMAN_GENDER[code])
+        cols["gender"].append(GERMAN_GENDER[code])
         risk = record["credit_risk"]
         if risk not in ("1", "2"):
             raise DataError(f"line {line_no}: unknown credit label {risk!r}")
         labels.append(1 if risk == "1" else 0)
-        for name in GERMAN_COLUMNS:
-            if name in GERMAN_NUMERIC:
-                cols[name].append(_parse_number(record[name], line_no, name))
-            else:
-                cols[name].append(record[name])
-
-    n = len(labels)
-    ids = np.arange(n, dtype=np.int64)
-    features = {}
-    kinds = {}
-    for name in GERMAN_FEATURES:
-        if name in GERMAN_NUMERIC:
-            features[name] = np.array(cols[name], dtype=float)
-            kinds[name] = NUMERIC
-        else:
-            features[name] = np.array(cols[name], dtype=str)
-            kinds[name] = CATEGORICAL
-    ds = Dataset(ids, GERMAN_FEATURES, kinds, features, np.array(labels, dtype=np.int64))
-    sens = SensitiveSet(
-        ids.copy(),
-        {
-            "gender": np.array(gender, dtype=str),
-            "age": np.array(cols["age"], dtype=float),
-            "foreign_worker": np.array(cols["foreign_worker"], dtype=str),
-        },
-    )
-    train_idx, test_idx = stratified_split(ds.labels, seed=seed)
-    return (ds.take(train_idx), sens.take(train_idx)), (ds.take(test_idx), sens.take(test_idx))
+        _append_row(cols, kinds, fields, line_no)
+    return split_tables(*_build_tables(
+        labels, cols, _kinds(GERMAN_FEATURES, GERMAN_NUMERIC), _kinds(GERMAN_SENSITIVE, GERMAN_NUMERIC)
+    ), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -537,37 +494,14 @@ def load_csv_with_schema(path, schema: dict):
     positive = str(schema.get("positive_label", "1"))
     feat_kinds = dict(schema["features"])
     sens_kinds = dict(schema.get("sensitive", {}))
+    kinds = _column_kinds(feat_kinds, sens_kinds)
+    cols: dict[str, list] = {name: [] for name in kinds}
+    labels = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("empty CSV file")
-        expected = [label_col, *feat_kinds, *sens_kinds]
-        missing = [c for c in expected if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"CSV lacks expected columns: {missing}")
-        cols: dict[str, list] = {c: [] for c in [*feat_kinds, *sens_kinds]}
-        labels = []
-        for line_no, record in enumerate(reader, start=2):
+        for line_no, record in _header_records(fh, [label_col, *kinds], "CSV file"):
             labels.append(1 if record[label_col].strip() == positive else 0)
-            for name in cols:
-                value = record[name].strip()
-                kind = feat_kinds.get(name, sens_kinds.get(name))
-                cols[name].append(_parse_number(value, line_no, name) if kind == NUMERIC else value)
-    n = len(labels)
-    ids = np.arange(n, dtype=np.int64)
-    features = {
-        name: (np.array(vals, dtype=float) if feat_kinds[name] == NUMERIC else np.array(vals, dtype=str))
-        for name, vals in cols.items() if name in feat_kinds
-    }
-    ds = Dataset(ids, tuple(feat_kinds), feat_kinds, features, np.array(labels, dtype=np.int64))
-    sens = SensitiveSet(
-        ids.copy(),
-        {
-            name: (np.array(vals, dtype=float) if sens_kinds[name] == NUMERIC else np.array(vals, dtype=str))
-            for name, vals in cols.items() if name in sens_kinds
-        },
-    )
-    return ds, sens
+            _append_row(cols, kinds, [record[name].strip() for name in kinds], line_no)
+    return _build_tables(labels, cols, feat_kinds, sens_kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -603,48 +537,23 @@ def save_dataset(ds: Dataset, sens: SensitiveSet, csv_path, meta_path) -> None:
 
 def load_saved(csv_path, meta_path) -> tuple[Dataset, SensitiveSet]:
     """Reload a table written by save_dataset; round-trips exactly."""
-    feat_kinds: dict[str, str] = {}
-    sens_kinds: dict[str, str] = {}
+    sidecar: dict[str, dict[str, str]] = {"feature": {}, "sensitive": {}}
     with open(meta_path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            if key.startswith("feature."):
-                feat_kinds[key[len("feature."):]] = value
-            elif key.startswith("sensitive."):
-                sens_kinds[key[len("sensitive."):]] = value
+            key, eq, value = line.strip().partition("=")
+            section, dot, name = key.partition(".")
+            if eq and dot and section in sidecar:
+                sidecar[section][name] = value
+    feat_kinds, sens_kinds = sidecar["feature"], sidecar["sensitive"]
+    kinds = _column_kinds(feat_kinds, sens_kinds)
+    cols: dict[str, list] = {name: [] for name in kinds}
+    ids, labels = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        ids, labels = [], []
-        cols: dict[str, list] = {name: [] for name in (*feat_kinds, *sens_kinds)}
-        for line_no, record in enumerate(reader, start=2):
+        for line_no, record in _header_records(fh, ["id", *kinds, "label"], "saved CSV file"):
             ids.append(int(record["id"]))
             labels.append(int(record["label"]))
-            for name in cols:
-                kind = feat_kinds.get(name, sens_kinds.get(name))
-                value = record[name]
-                cols[name].append(_parse_number(value, line_no, name) if kind == NUMERIC else value)
-    ids_arr = np.array(ids, dtype=np.int64)
-    ds = Dataset(
-        ids_arr,
-        tuple(feat_kinds),
-        feat_kinds,
-        {
-            name: (np.array(v, dtype=float) if feat_kinds[name] == NUMERIC else np.array(v, dtype=str))
-            for name, v in cols.items() if name in feat_kinds
-        },
-        np.array(labels, dtype=np.int64),
-    )
-    sens = SensitiveSet(
-        ids_arr.copy(),
-        {
-            name: (np.array(v, dtype=float) if sens_kinds[name] == NUMERIC else np.array(v, dtype=str))
-            for name, v in cols.items() if name in sens_kinds
-        },
-    )
-    return ds, sens
+            _append_row(cols, kinds, [record[name] for name in kinds], line_no)
+    return _build_tables(labels, cols, feat_kinds, sens_kinds, ids)
 
 
 # Named encodings used by the CLI and experiments, per dataset family.

@@ -51,17 +51,6 @@ class PrivacyParams:
             raise ParameterError("sensitivities must be positive")
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """n independent random streams derived from one seed (or SeedSequence)."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in seq.spawn(n)]
-
-
-def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
-    """Deterministic stream for a (master seed, key...) coordinate."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, *keys])))
-
-
 def laplace_noise_scale(params: PrivacyParams) -> float:
     """Scale of the Laplace noise: L1 sensitivity over epsilon."""
     return params.sensitivity_l1 / params.epsilon

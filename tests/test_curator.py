@@ -214,6 +214,38 @@ def test_process_frame_over_budget_refusal():
     assert cur.ledger().spent == 0.0
 
 
+def raw_query_frame(**fields) -> bytes:
+    return C.encode_frame({"type": "query", "predicate": [], "mechanism": "laplace", **fields})
+
+
+def test_nan_epsilon_is_rejected_before_charge():
+    cur = fixed_curator(total_epsilon=1.0)
+    reply = C.process_frame(cur, raw_query_frame(epsilon="nan"))
+    assert reply["type"] == "error"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+    # the budget still binds afterwards
+    reply = C.process_frame(cur, raw_query_frame(epsilon="5"))
+    assert reply["type"] == "refusal"
+    assert cur.ledger().spent == 0.0
+
+
+def test_gaussian_epsilon_limit_is_checked_before_charge():
+    cur = fixed_curator(total_epsilon=2.0)
+    reply = C.process_frame(cur, raw_query_frame(epsilon="1.5", delta="1e-05", mechanism="gaussian"))
+    assert reply["type"] == "error"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+def test_out_of_range_delta_is_rejected_before_charge():
+    cur = fixed_curator(total_epsilon=1.0)
+    reply = C.process_frame(cur, raw_query_frame(epsilon="0.5", delta="2"))
+    assert reply["type"] == "error"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
 def test_answer_frame_matches_query_digest():
     cur = fixed_curator(seed=23)
     q = C.CuratorQuery((lt("x", 5.0),), 0.5, "laplace")

@@ -166,6 +166,16 @@ def test_german_unknown_code_errors(tmp_path):
         D.load_german(path)
 
 
+def test_compas_short_row_names_line(tmp_path):
+    header = ("id,age,c_charge_degree,race,age_cat,score_text,sex,priors_count,"
+              "days_b_screening_arrest,decile_score,is_recid,two_year_recid,c_jail_in,c_jail_out")
+    keep = "1,30,F,Caucasian,25 - 45,Low,Male,0,10,3,0,0,2013-01-01 00:00:00,2013-01-02 00:00:00"
+    path = tmp_path / "compas.csv"
+    path.write_text("\n".join([header, keep, "2,30,F,Caucasian"]) + "\n")
+    with pytest.raises(DataError, match="line 3"):
+        D.load_compas(path)
+
+
 # ---------------------------------------------------------------------------
 # stratified split
 
@@ -297,6 +307,47 @@ def test_schema_loader_matches_saved_golden(fixtures_dir, family):
     for name in saved_sens.names:
         assert sens.raw[name].dtype == saved_sens.raw[name].dtype
         assert np.array_equal(sens.raw[name], saved_sens.raw[name])
+
+
+def test_schema_short_row_names_line(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,c,y\n1.5,a,1\n2.5,b\n")
+    schema = {"label": "y", "features": {"x": "numeric", "c": "categorical"}}
+    with pytest.raises(DataError, match="line 3"):
+        D.load_csv_with_schema(path, schema)
+
+
+def test_schema_unknown_kind_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,y\n1.5,1\n2.5,0\n")
+    with pytest.raises(DataError, match="Numeric"):
+        D.load_csv_with_schema(path, {"label": "y", "features": {"x": "Numeric"}})
+
+
+def test_saved_unknown_kind_rejected(tmp_path):
+    csv_path, meta_path = tmp_path / "t.csv", tmp_path / "t.meta"
+    csv_path.write_text("id,x,label\n0,1.0,1\n1,2.0,0\n")
+    meta_path.write_text("n=2\nlabel=label\nfeature.x=int\n")
+    with pytest.raises(DataError, match="int"):
+        D.load_saved(csv_path, meta_path)
+
+
+def test_saved_missing_column_schema_error(tmp_path, fixtures_dir):
+    (train, sens), _ = FAMILIES["german"](fixtures_dir)
+    csv_path, meta_path = tmp_path / "t.csv", tmp_path / "t.meta"
+    D.save_dataset(train, sens, csv_path, meta_path)
+    with open(meta_path, "a") as fh:
+        fh.write("feature.z=numeric\n")
+    with pytest.raises(DataError, match="'z'"):
+        D.load_saved(csv_path, meta_path)
+
+
+def test_saved_short_row_names_line(tmp_path):
+    csv_path, meta_path = tmp_path / "t.csv", tmp_path / "t.meta"
+    csv_path.write_text("id,x,label\n0,1.0,1\n1,2.0\n")
+    meta_path.write_text("n=2\nlabel=label\nfeature.x=numeric\n")
+    with pytest.raises(DataError, match="line 3"):
+        D.load_saved(csv_path, meta_path)
 
 
 def test_fixture_goldens_byte_match(tmp_path, fixtures_dir):

@@ -204,20 +204,3 @@ def test_density_ratio_check_exponential_holds():
 def test_density_ratio_check_gaussian_unsupported():
     with pytest.raises(UnsupportedCheckError):
         mech.dp_density_ratio_check("gaussian", mech.PrivacyParams(0.5, 1e-3), (1, 2))
-
-
-# ---------------------------------------------------------------------------
-# Stream splitting
-
-def test_spawn_rngs_independent_and_reproducible():
-    a1, a2 = mech.spawn_rngs(42, 2)
-    b1, b2 = mech.spawn_rngs(42, 2)
-    assert a1.random() == b1.random()
-    assert a2.random() == b2.random()
-    c1, _ = mech.spawn_rngs(43, 2)
-    assert a1.random() != c1.random()
-
-
-def test_derive_rng_keyed_streams():
-    assert mech.derive_rng(1, 2, 3).random() == mech.derive_rng(1, 2, 3).random()
-    assert mech.derive_rng(1, 2, 3).random() != mech.derive_rng(1, 2, 4).random()
