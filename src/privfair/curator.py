@@ -145,11 +145,6 @@ class Curator:
             self._ledgers[identity] = BudgetLedger(self._default_budget)
         return self._ledgers[identity]
 
-    def exact_histogram(self, clauses) -> np.ndarray:
-        """Per-group counts of the matching instances. Internal only."""
-        mask = rule_mask(clauses, self._data)
-        return np.bincount(self._groups[mask], minlength=self.k).astype(float)
-
     def answer(self, query: CuratorQuery) -> CuratorAnswer:
         """Atomic check-charge-sample-reply. Refusals consume no randomness."""
         with self._lock:
@@ -161,6 +156,11 @@ class Curator:
             if query.mechanism == mech.GAUSSIAN:
                 mech.gaussian_sigma(params)  # raises outside the Gaussian limits
             digest = query.digest()
+            for rc in query.clauses:
+                # a numeric test on a categorical column would raise inside the mask
+                kind = self._data.feature_kinds.get(rc.clause.feature)
+                if kind is not None and kind != rc.clause.kind:
+                    raise DataError(f"feature {rc.clause.feature!r} is {kind}, not {rc.clause.kind}")
             mask = rule_mask(query.clauses, self._data)  # raises on unknown features
 
             ledger = self.ledger(query.identity)
@@ -210,6 +210,8 @@ def clause_to_wire(rc: RuleClause) -> dict:
 
 def clause_from_wire(d: dict) -> RuleClause:
     op = d["op"]
+    if not isinstance(d["feature"], str):
+        raise ProtocolError("clause feature must be a string")
     negated = bool(d.get("negated", False))
     if op == ">=":
         op, negated = "<", not negated
@@ -229,7 +231,7 @@ def encode_frame(obj: dict) -> bytes:
 def decode_frame(line: bytes) -> dict:
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"malformed frame: {exc}") from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProtocolError("frame is not an object with a 'type' field")
@@ -257,17 +259,21 @@ def frame_to_query(frame: dict) -> CuratorQuery:
         clauses = tuple(clause_from_wire(c) for c in frame.get("predicate", []))
         epsilon = float(frame["epsilon"])
         mechanism = str(frame["mechanism"])
-    except (KeyError, TypeError, ValueError) as exc:
+        delta = float(frame.get("delta", "0") or 0.0)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad query frame: {exc}") from None
     batch_id = frame.get("batch_id")
+    identity = frame.get("identity", "default")
+    if not isinstance(batch_id, (str, type(None))) or not isinstance(identity, str):
+        raise ProtocolError("batch_id and identity must be strings")
     return CuratorQuery(
         clauses=clauses,
         epsilon=epsilon,
         mechanism=mechanism,
-        delta=float(frame.get("delta", "0") or 0.0),
+        delta=delta,
         composition=PARALLEL if batch_id else SEQUENTIAL,
         batch_id=batch_id,
-        identity=str(frame.get("identity", "default")),
+        identity=identity,
     )
 
 

@@ -251,6 +251,17 @@ def _parse_number(text: str, line_no: int, column: str) -> float:
         raise DataError(f"line {line_no}: column {column!r} has non-numeric value {text!r}") from None
 
 
+def _parse_int(text: str, line_no: int, column: str, allowed=None) -> int:
+    """An integer cell; allowed, when given, holds the only values accepted."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: column {column!r} has non-integer value {text!r}") from None
+    if allowed is not None and value not in allowed:
+        raise DataError(f"line {line_no}: column {column!r} has value {text!r}, not one of {allowed}")
+    return value
+
+
 def _append_row(cols: dict[str, list], kinds: dict[str, str], values, line_no: int) -> None:
     for (name, kind), value in zip(kinds.items(), values):
         cols[name].append(_parse_number(value, line_no, name) if kind == NUMERIC else value)
@@ -285,7 +296,8 @@ def _header_records(fh, required, what: str):
     missing = [c for c in required if c not in reader.fieldnames]
     if missing:
         raise DataError(f"{what} lacks expected columns: {missing}")
-    for line_no, record in enumerate(reader, start=2):
+    for record in reader:
+        line_no = reader.line_num  # the file line, past blank lines and multi-line cells
         if None in record.values():  # DictReader pads a short row with None
             got = sum(value is not None for value in record.values())
             raise DataError(f"line {line_no}: expected {len(reader.fieldnames)} fields, got {got}")
@@ -293,8 +305,11 @@ def _header_records(fh, required, what: str):
 
 
 def _column_kinds(feat_kinds: dict, sens_kinds: dict) -> dict[str, str]:
-    """The kind each column is read with; a column named in both maps reads as a feature."""
-    return {name: feat_kinds.get(name, sens_kinds.get(name)) for name in (*feat_kinds, *sens_kinds)}
+    """The kind each column is read with; a sensitive column cannot also be a feature."""
+    overlap = [name for name in feat_kinds if name in sens_kinds]
+    if overlap:
+        raise DataError(f"columns {overlap} are both features and sensitive attributes")
+    return {**feat_kinds, **sens_kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +423,8 @@ def load_compas(path, seed: int = DEFAULT_SPLIT_SEED):
             elif name in COMPAS_NUMERIC:
                 value = math.nan if value == "" else _parse_number(value, line_no, name)
             col.append(value)
-        labels.append(1 - int(record["two_year_recid"].strip()))
+        recid = _parse_int(record["two_year_recid"].strip(), line_no, "two_year_recid", (0, 1))
+        labels.append(1 - recid)
     for name in COMPAS_FEATURES:
         if name in COMPAS_NUMERIC and any(math.isnan(v) for v in cols[name]):
             med = float(np.nanmedian(cols[name]))
@@ -550,8 +566,8 @@ def load_saved(csv_path, meta_path) -> tuple[Dataset, SensitiveSet]:
     ids, labels = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         for line_no, record in _header_records(fh, ["id", *kinds, "label"], "saved CSV file"):
-            ids.append(int(record["id"]))
-            labels.append(int(record["label"]))
+            ids.append(_parse_int(record["id"], line_no, "id"))
+            labels.append(_parse_int(record["label"], line_no, "label", (0, 1)))
             _append_row(cols, kinds, [record[name] for name in kinds], line_no)
     return _build_tables(labels, cols, feat_kinds, sens_kinds, ids)
 

@@ -11,7 +11,7 @@ row count) are counted before the repair policy maps them to valid values.
 
 from __future__ import annotations
 
-import hashlib
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +22,6 @@ from .tree import DecisionTree, favorable_rules, prune_redundant
 
 NEGATIVE_POLICIES = ("zero", "one", "uniform", "total-minus-valid")
 TOO_LARGE_POLICIES = ("uniform", "total-minus-valid")
-
-VALID = "valid"
-NEGATIVE = "negative"
-TOO_LARGE = "too-large"
 
 
 @dataclass(frozen=True)
@@ -56,65 +52,36 @@ class SpEstimate:
         return self.invalid_cells / self.total_cells if self.total_cells else 0.0
 
 
-def exceeds_validity(cell: float, dataset_total: int) -> str:
-    """Validity flag of one noisy cell against the public row count.
-
-    A count may exceed its node's population without being invalid; only
-    negative values or values above the dataset total are.
-    """
-    if cell < 0:
-        return NEGATIVE
-    if cell > dataset_total:
-        return TOO_LARGE
-    return VALID
-
-
-def repair_cell(counts: np.ndarray, index: int, policy: InvalidPolicy,
-                dataset_total: int, uniform_total: float) -> float:
-    """Map one cell of a noisy histogram to a valid value under the policy.
-
-    uniform_total is the histogram's population estimate: the public row
-    count for the tautology query, the noisy rule total (sum of the noisy
-    cells) for a rule query. total-minus-valid subtracts the valid sibling
-    cells from the dataset total and is usable only when every sibling is
-    valid, falling back to uniform otherwise. Valid cells pass through.
-    """
-    counts = np.asarray(counts, dtype=float)
-    cell = float(counts[index])
-    flag = exceeds_validity(cell, dataset_total)
-    if flag == VALID:
-        return cell
-    rule = policy.negative_rule if flag == NEGATIVE else policy.too_large_rule
-    uniform_value = max(0.0, uniform_total / len(counts))
-    if rule == "zero":
-        return 0.0
-    if rule == "one":
-        return 1.0
-    if rule == "uniform":
-        return uniform_value
-    siblings_valid = all(
-        exceeds_validity(float(counts[j]), dataset_total) == VALID
-        for j in range(len(counts))
-        if j != index
-    )
-    if not siblings_valid:
-        return uniform_value
-    # a repaired count cannot go below the empty-node count of zero
-    return max(0.0, float(dataset_total) - float(counts.sum() - cell))
-
-
 def repair_histogram(counts: np.ndarray, policy: InvalidPolicy, dataset_total: int,
                      uniform_total: float) -> tuple[np.ndarray, int]:
-    """Repair every invalid cell of one histogram; returns (repaired, n_invalid)."""
+    """Repair every invalid cell of one histogram; returns (repaired, n_invalid).
+
+    A cell is invalid when negative or above the public row count; a count
+    may exceed its node's population without being invalid. uniform_total
+    is the histogram's population estimate: the public row count for the
+    tautology query, the noisy rule total (sum of the noisy cells) for a
+    rule query. total-minus-valid subtracts the valid sibling cells from the
+    dataset total and is usable only when every sibling is valid, falling
+    back to uniform otherwise. Valid cells pass through.
+    """
     counts = np.asarray(counts, dtype=float)
-    flags = [exceeds_validity(float(c), dataset_total) for c in counts]
-    n_invalid = sum(1 for f in flags if f != VALID)
+    negative = counts < 0
+    too_large = counts > dataset_total
+    invalid = negative | too_large
+    n_invalid = int(invalid.sum())
     if n_invalid == 0:
         return counts.copy(), 0
-    repaired = np.array(
-        [repair_cell(counts, i, policy, dataset_total, uniform_total) for i in range(len(counts))]
-    )
-    return repaired, n_invalid
+    uniform = max(0.0, uniform_total / len(counts))
+    if n_invalid == 1:
+        # every sibling of the one invalid cell is valid; a repaired count
+        # cannot go below the empty-node count of zero
+        rest = float(dataset_total) - (counts.sum() - counts)
+        total_minus_valid = np.where(rest > 0.0, rest, 0.0)
+    else:
+        total_minus_valid = uniform
+    values = {"zero": 0.0, "one": 1.0, "uniform": uniform, "total-minus-valid": total_minus_valid}
+    repaired = np.where(negative, values[policy.negative_rule], values[policy.too_large_rule])
+    return np.where(invalid, repaired, counts), n_invalid
 
 
 def estimate_sp(
@@ -146,10 +113,8 @@ def estimate_sp(
     k = taut_answer.k
 
     if batch_id is None:
-        seed = hashlib.sha256(
-            (taut_query.digest() + f":{len(rules)}").encode("utf-8")
-        ).hexdigest()[:12]
-        batch_id = f"rules-{seed}"
+        # a fresh nonce per audit, so a repeat audit opens a batch of its own
+        batch_id = f"rules-{secrets.token_hex(8)}"
 
     rule_answers = []
     for rule in rules:

@@ -1,7 +1,10 @@
+import math
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privfair import curator as C
 from privfair.data import Dataset, SensitiveTable
@@ -32,33 +35,34 @@ def eq(feature, value, negated=False):
 
 
 # ---------------------------------------------------------------------------
-# exact histogram (internal)
+# exact histogram through the gated noiseless stub
+
+def exact_counts(clauses):
+    cur = fixed_curator(allow_exact=True)
+    return list(cur.answer(C.CuratorQuery(clauses, 0.1, "exact")).counts)
+
 
 def test_exact_histogram_tautology():
-    cur = fixed_curator()
-    assert list(cur.exact_histogram(())) == [10.0, 10.0]
+    assert exact_counts(()) == [10.0, 10.0]
 
 
 def test_exact_histogram_nobody():
-    cur = fixed_curator()
-    assert list(cur.exact_histogram((lt("x", -5.0),))) == [0.0, 0.0]
+    assert exact_counts((lt("x", -5.0),)) == [0.0, 0.0]
 
 
 def test_exact_histogram_matches_brute_force_filter():
-    cur = fixed_curator()
     # rule x < 5 matches rows 0..4, all group 0
-    assert list(cur.exact_histogram((lt("x", 5.0),))) == [5.0, 0.0]
+    assert exact_counts((lt("x", 5.0),)) == [5.0, 0.0]
     # conjunction with c = a keeps even rows only
-    got = cur.exact_histogram((lt("x", 13.0), eq("c", "a")))
+    got = exact_counts((lt("x", 13.0), eq("c", "a")))
     expected = [sum(1 for i in range(10) if i < 13 and i % 2 == 0),
                 sum(1 for i in range(10, 20) if i < 13 and i % 2 == 0)]
-    assert list(got) == [float(e) for e in expected]
+    assert got == [float(e) for e in expected]
 
 
 def test_exact_histogram_unknown_feature_errors():
-    cur = fixed_curator()
     with pytest.raises(KeyError):
-        cur.exact_histogram((lt("zz", 1.0),))
+        exact_counts((lt("zz", 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +248,97 @@ def test_out_of_range_delta_is_rejected_before_charge():
     assert reply["type"] == "error"
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"epsilon": "0.5", "delta": "abc"},
+        {"epsilon": "0.5", "batch_id": {"a": 1}},
+        {"epsilon": "0.5", "identity": ["x"]},
+        {"epsilon": "0.5", "predicate": [{"feature": {"a": 1}, "op": "<", "value": 1}]},
+        {"epsilon": "0.5", "predicate": [{"feature": "c", "op": "<", "value": 1}]},
+        {"epsilon": 10 ** 400},
+    ],
+    ids=["delta-text", "batch-id-object", "identity-list", "feature-object",
+         "numeric-clause-on-categorical", "epsilon-overflow"],
+)
+def test_malformed_query_frame_gets_error_frame(fields):
+    cur = fixed_curator(total_epsilon=1.0)
+    reply = C.process_frame(cur, raw_query_frame(**fields))
+    assert reply["type"] == "error"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+def test_deeply_nested_frame_gets_error_frame():
+    cur = fixed_curator()
+    assert C.process_frame(cur, b"[" * 100_000 + b"\n")["type"] == "error"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def perturbed(base, keys):
+    """Well-formed dicts from base with some keys set to arbitrary JSON or dropped."""
+    return st.tuples(
+        base,
+        st.dictionaries(st.sampled_from(keys), json_values, max_size=1),
+        st.sets(st.sampled_from(keys), max_size=1),
+    ).map(lambda t: {k: v for k, v in {**t[0], **t[1]}.items() if k not in t[2]})
+
+
+wire_clauses = perturbed(
+    st.fixed_dictionaries(
+        {"feature": st.just("x"), "op": st.sampled_from(["<", ">="]), "value": st.floats()},
+        optional={"negated": st.booleans()},
+    )
+    | st.fixed_dictionaries(
+        {"feature": st.just("c"), "op": st.sampled_from(["=", "!="]),
+         "value": st.sampled_from(["a", "b", "z"])},
+        optional={"negated": st.booleans()},
+    ),
+    ["feature", "op", "value", "negated"],
+)
+query_frames = perturbed(
+    st.fixed_dictionaries(
+        {
+            "type": st.just("query"),
+            "predicate": st.lists(wire_clauses, max_size=2),
+            "epsilon": st.sampled_from(["0.1", "0.2", "0.3", "0.5", "1.5", "-1", "nan"]),
+            "mechanism": st.sampled_from(["laplace", "exponential", "gaussian", "exact"]),
+        },
+        optional={
+            "delta": st.sampled_from(["0", "1e-05", "2", "nan"]),
+            "batch_id": st.sampled_from(["b-1", "b-2", ""]),
+            "identity": st.sampled_from(["default", "other"]),
+        },
+    ),
+    ["type", "predicate", "epsilon", "mechanism", "delta", "batch_id", "identity"],
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(query_frames, min_size=1, max_size=8))
+def test_process_frame_never_raises_and_ledger_holds(frames):
+    cur = fixed_curator(total_epsilon=1.0)
+    identities = {"default"} | {
+        f["identity"] for f in frames if isinstance(f.get("identity"), str)
+    }
+    before = {identity: 0.0 for identity in identities}
+    for frame in frames:
+        reply = C.process_frame(cur, C.encode_frame(frame))
+        assert reply["type"] in ("answer", "refusal", "error")
+        for identity in identities:
+            spent = cur.ledger(identity).spent
+            assert math.isfinite(spent)
+            assert before[identity] <= spent <= 1.0 + 1e-9
+            before[identity] = spent
 
 
 def test_answer_frame_matches_query_digest():

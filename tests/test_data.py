@@ -176,6 +176,16 @@ def test_compas_short_row_names_line(tmp_path):
         D.load_compas(path)
 
 
+def test_compas_non_integer_recid_names_line(tmp_path):
+    header = ("id,age,c_charge_degree,race,age_cat,score_text,sex,priors_count,"
+              "days_b_screening_arrest,decile_score,is_recid,two_year_recid,c_jail_in,c_jail_out")
+    bad = "1,30,F,Caucasian,25 - 45,Low,Male,0,10,3,0,yes,2013-01-01 00:00:00,2013-01-02 00:00:00"
+    path = tmp_path / "compas.csv"
+    path.write_text("\n".join([header, bad]) + "\n")
+    with pytest.raises(DataError, match="line 2: column 'two_year_recid'"):
+        D.load_compas(path)
+
+
 # ---------------------------------------------------------------------------
 # stratified split
 
@@ -317,6 +327,22 @@ def test_schema_short_row_names_line(tmp_path):
         D.load_csv_with_schema(path, schema)
 
 
+def test_schema_bad_cell_after_blank_lines_names_file_line(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,y\n1.5,1\n\n\n2.5,0\nabc,1\n")
+    with pytest.raises(DataError, match="line 6"):
+        D.load_csv_with_schema(path, {"label": "y", "features": {"x": "numeric"}})
+
+
+def test_schema_sensitive_column_cannot_be_a_feature(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("age,x,y\n30,1.5,1\n40,2.5,0\n")
+    schema = {"label": "y", "features": {"age": "numeric", "x": "numeric"},
+              "sensitive": {"age": "numeric"}}
+    with pytest.raises(DataError, match="'age'"):
+        D.load_csv_with_schema(path, schema)
+
+
 def test_schema_unknown_kind_rejected(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x,y\n1.5,1\n2.5,0\n")
@@ -347,6 +373,23 @@ def test_saved_short_row_names_line(tmp_path):
     csv_path.write_text("id,x,label\n0,1.0,1\n1,2.0\n")
     meta_path.write_text("n=2\nlabel=label\nfeature.x=numeric\n")
     with pytest.raises(DataError, match="line 3"):
+        D.load_saved(csv_path, meta_path)
+
+
+@pytest.mark.parametrize("row", ["1,2.0,2", "1,2.0,yes", "one,2.0,0"], ids=["label-2", "label-yes", "id-one"])
+def test_saved_bad_integer_cell_names_line(tmp_path, row):
+    csv_path, meta_path = tmp_path / "t.csv", tmp_path / "t.meta"
+    csv_path.write_text(f"id,x,label\n0,1.0,1\n{row}\n")
+    meta_path.write_text("n=2\nlabel=label\nfeature.x=numeric\n")
+    with pytest.raises(DataError, match="line 3: column '(label|id)'"):
+        D.load_saved(csv_path, meta_path)
+
+
+def test_saved_sensitive_column_cannot_be_a_feature(tmp_path):
+    csv_path, meta_path = tmp_path / "t.csv", tmp_path / "t.meta"
+    csv_path.write_text("id,age,label\n0,30.0,1\n1,40.0,0\n")
+    meta_path.write_text("n=2\nlabel=label\nfeature.age=numeric\nsensitive.age=numeric\n")
+    with pytest.raises(DataError, match="'age'"):
         D.load_saved(csv_path, meta_path)
 
 

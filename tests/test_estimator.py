@@ -24,20 +24,99 @@ def single_leaf_tree(klass):
 
 
 # ---------------------------------------------------------------------------
+# per-cell reference for repair_histogram, kept here as the oracle
+
+def reference_flag(cell: float, dataset_total: int) -> str:
+    if cell < 0:
+        return "negative"
+    if cell > dataset_total:
+        return "too-large"
+    return "valid"
+
+
+def reference_repair_cell(counts, index, policy, dataset_total, uniform_total) -> float:
+    counts = np.asarray(counts, dtype=float)
+    cell = float(counts[index])
+    flag = reference_flag(cell, dataset_total)
+    if flag == "valid":
+        return cell
+    rule = policy.negative_rule if flag == "negative" else policy.too_large_rule
+    uniform_value = max(0.0, uniform_total / len(counts))
+    if rule == "zero":
+        return 0.0
+    if rule == "one":
+        return 1.0
+    if rule == "uniform":
+        return uniform_value
+    siblings_valid = all(
+        reference_flag(float(counts[j]), dataset_total) == "valid"
+        for j in range(len(counts))
+        if j != index
+    )
+    if not siblings_valid:
+        return uniform_value
+    return max(0.0, float(dataset_total) - float(counts.sum() - cell))
+
+
+def reference_repair_histogram(counts, policy, dataset_total, uniform_total):
+    counts = np.asarray(counts, dtype=float)
+    n_invalid = sum(1 for c in counts if reference_flag(float(c), dataset_total) != "valid")
+    if n_invalid == 0:
+        return counts.copy(), 0
+    repaired = np.array([
+        reference_repair_cell(counts, i, policy, dataset_total, uniform_total)
+        for i in range(len(counts))
+    ])
+    return repaired, n_invalid
+
+
+POLICY_PAIRS = [(neg, big) for neg in E.NEGATIVE_POLICIES for big in E.TOO_LARGE_POLICIES]
+
+
+def random_histograms(rng, n):
+    """Noisy histograms over k = 1..5 cells, salted with boundary values."""
+    for _ in range(n):
+        k = int(rng.integers(1, 6))
+        total = int(rng.integers(0, 30))
+        counts = rng.laplace(total / k, 4.0, size=k)
+        if rng.random() < 0.5:
+            counts = np.round(counts)
+        salted = rng.random(k) < 0.15
+        counts[salted] = rng.choice([-0.0, 0.0, float(total), total + 1.0, -1.0], size=salted.sum())
+        uniform_total = float(counts.sum()) if rng.random() < 0.5 else float(total)
+        yield counts, total, uniform_total
+
+
+def test_repair_histogram_matches_per_cell_reference():
+    rng = np.random.default_rng(20240607)
+    policies = [E.InvalidPolicy(neg, big) for neg, big in POLICY_PAIRS]
+    for i, (counts, total, uniform_total) in enumerate(random_histograms(rng, 100_000)):
+        policy = policies[i % len(policies)]
+        got, got_invalid = E.repair_histogram(counts, policy, total, uniform_total)
+        want, want_invalid = reference_repair_histogram(counts, policy, total, uniform_total)
+        assert got.tobytes() == want.tobytes(), (counts, total, uniform_total, policy)
+        assert got_invalid == want_invalid
+
+
+# ---------------------------------------------------------------------------
 # validity flags
 
 @pytest.mark.parametrize(
     "cell,total,expected",
     [
-        (12.0, 1000, E.VALID),    # exceeding the node count alone is fine
-        (-0.5, 1000, E.NEGATIVE),
-        (1001.0, 1000, E.TOO_LARGE),
-        (0.0, 1000, E.VALID),
-        (1000.0, 1000, E.VALID),
+        (12.0, 1000, "valid"),    # exceeding the node count alone is fine
+        (-0.5, 1000, "negative"),
+        (1001.0, 1000, "too-large"),
+        (0.0, 1000, "valid"),
+        (1000.0, 1000, "valid"),
     ],
 )
 def test_exceeds_validity(cell, total, expected):
-    assert E.exceeds_validity(cell, total) == expected
+    # a zero-policy negative cell repairs to 0, a too-large one to the uniform 7
+    policy = E.InvalidPolicy("zero", "uniform")
+    repaired, n_invalid = E.repair_histogram(np.array([cell]), policy, total, 7.0)
+    assert n_invalid == (expected != "valid")
+    assert repaired[0] == {"valid": cell, "negative": 0.0, "too-large": 7.0}[expected]
 
 
 # ---------------------------------------------------------------------------
@@ -46,40 +125,40 @@ def test_exceeds_validity(cell, total, expected):
 def test_repair_negative_zero_policy():
     counts = np.array([-3.0, 40.0, 35.0, 28.0])
     policy = E.InvalidPolicy("zero", "uniform")
-    assert E.repair_cell(counts, 0, policy, 1000, counts.sum()) == 0.0
+    assert E.repair_histogram(counts, policy, 1000, counts.sum())[0][0] == 0.0
 
 
 def test_repair_negative_one_policy():
     counts = np.array([-3.0, 40.0])
     policy = E.InvalidPolicy("one", "uniform")
-    assert E.repair_cell(counts, 0, policy, 1000, counts.sum()) == 1.0
+    assert E.repair_histogram(counts, policy, 1000, counts.sum())[0][0] == 1.0
 
 
 def test_repair_negative_uniform_policy():
     # noisy rule total 100 over K=4 cells repairs to 25
     counts = np.array([-3.0, 40.0, 35.0, 28.0])
     policy = E.InvalidPolicy("uniform", "uniform")
-    assert E.repair_cell(counts, 0, policy, 1000, 100.0) == pytest.approx(25.0)
+    assert E.repair_histogram(counts, policy, 1000, 100.0)[0][0] == pytest.approx(25.0)
 
 
 def test_repair_too_large_total_minus_valid():
     # cell 80 with dataset total 50 and valid siblings summing 30 repairs to 20
     counts = np.array([80.0, 12.0, 18.0])
     policy = E.InvalidPolicy("uniform", "total-minus-valid")
-    assert E.repair_cell(counts, 0, policy, 50, counts.sum()) == pytest.approx(20.0)
+    assert E.repair_histogram(counts, policy, 50, counts.sum())[0][0] == pytest.approx(20.0)
 
 
 def test_repair_total_minus_valid_falls_back_when_sibling_invalid():
     counts = np.array([80.0, -1.0, 18.0])
     policy = E.InvalidPolicy("uniform", "total-minus-valid")
-    got = E.repair_cell(counts, 0, policy, 50, 97.0)
+    got = E.repair_histogram(counts, policy, 50, 97.0)[0][0]
     assert got == pytest.approx(97.0 / 3)
 
 
 def test_repair_valid_cell_passthrough():
     counts = np.array([5.0, 6.0])
     policy = E.InvalidPolicy("zero", "uniform")
-    assert E.repair_cell(counts, 1, policy, 100, 11.0) == 6.0
+    assert E.repair_histogram(counts, policy, 100, 11.0)[0][1] == 6.0
 
 
 def test_repair_histogram_counts_invalids():
@@ -88,7 +167,7 @@ def test_repair_histogram_counts_invalids():
     repaired, n_invalid = E.repair_histogram(counts, policy, 1000, counts.sum())
     assert n_invalid == 2
     assert (repaired >= 0).all()
-    assert E.exceeds_validity(float(repaired.max()), 1000) == E.VALID
+    assert repaired.max() <= 1000
 
 
 def test_invalid_policy_validation():
@@ -146,6 +225,18 @@ def test_budget_spend_is_exactly_epsilon():
         est = E.estimate_sp(tree, InProcessClient(cur), eps, population=ds.n, mechanism="laplace")
         assert est.epsilon_spent == eps
         assert cur.ledger().spent == pytest.approx(eps, abs=1e-15)
+
+
+def test_repeat_audits_on_one_curator_each_get_a_batch():
+    ds, table = make_dataset(n=200, seed=3)
+    tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
+    eps = 0.5
+    cur = curator_for(ds, table, budget=2 * eps, seed=5, allow_exact=False)
+    client = InProcessClient(cur)
+    for _ in range(2):
+        est = E.estimate_sp(tree, client, eps, population=ds.n, mechanism="laplace")
+        assert 0.0 <= est.sp <= 1.0
+    assert cur.ledger().spent == pytest.approx(2 * eps, abs=1e-15)
 
 
 def test_query_count_within_height_bounds():
