@@ -9,10 +9,19 @@ their maximum epsilon. Disjointness is verified on the curator's own data:
 a batch query whose predicate overlaps an earlier one in the same batch is
 refused.
 
+Queries arrive as a request of one or more, answered all or nothing: every
+query is validated, checked for disjointness and charged before any noise is
+drawn, so a refused or malformed request spends no budget and no randomness.
+An audit is one such request (the tautology query plus every rule query).
+Masks reuse the clause prefix shared with the previous query of the request,
+so tree rules in depth-first order evaluate each shared prefix once.
+
 Wire protocol: newline-delimited UTF-8 frames, one JSON object per line with
-sorted keys. epsilon/delta and answer counts travel as decimal strings to
-avoid float round-trip drift. Clause ops ">=" and "!=" are accepted and
-canonicalized to negated "<" / "=".
+sorted keys, at most MAX_FRAME_BYTES each. epsilon/delta and answer counts
+travel as decimal strings to avoid float round-trip drift. Clause ops ">="
+and "!=" are accepted and canonicalized to negated "<" / "=". A "batch" frame
+carries a list of query frames and is answered by one "answers" frame, or by
+one refusal or error frame for the whole batch.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Dataset, SensitiveTable
-from .errors import BudgetRefusal, DataError, MechanismError, ParameterError, ProtocolError
+from .errors import (BudgetRefusal, DataError, MechanismError, ParameterError, ProtocolError,
+                     RoutingError)
 from . import mechanisms as mech
-from .tree import RuleClause, SplitClause, rule_mask
+from .tree import RuleClause, SplitClause, prefix_masks
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
+MAX_FRAME_BYTES = 1 << 20  # one request line, newline included; 512 rules of depth 10 fit
 
 
 @dataclass(frozen=True)
@@ -60,22 +71,28 @@ class BudgetLedger:
     def remaining(self) -> float:
         return max(0.0, self.total_epsilon - self.spent)
 
-    def charge(self, digest: str, epsilon: float, composition: str, batch_id: str | None) -> None:
-        """Admit and record a charge, or refuse leaving the ledger untouched."""
-        if composition == PARALLEL:
-            prior = self._batch_charged.get(batch_id, 0.0)
-            increment = max(0.0, epsilon - prior)
-        else:
-            increment = epsilon
-        if self.spent + increment > self.total_epsilon + 1e-9:
-            raise BudgetRefusal(self.remaining)
-        self.spent += increment
-        if composition == PARALLEL:
-            self._batch_charged[batch_id] = max(self._batch_charged.get(batch_id, 0.0), epsilon)
-            label = f"parallel:{batch_id}"
-        else:
-            label = SEQUENTIAL
-        self.entries.append(LedgerEntry(digest, epsilon, increment, time.time(), label))
+    def charge_all(self, charges) -> None:
+        """Admit and record every (digest, epsilon, composition, batch_id) charge
+        in order, or refuse them all leaving the ledger untouched."""
+        spent = self.spent
+        batch_charged: dict[str, float] = {}
+        entries = []
+        for digest, epsilon, composition, batch_id in charges:
+            if composition == PARALLEL:
+                prior = batch_charged.get(batch_id, self._batch_charged.get(batch_id, 0.0))
+                increment = max(0.0, epsilon - prior)
+                batch_charged[batch_id] = max(prior, epsilon)
+                label = f"parallel:{batch_id}"
+            else:
+                increment = epsilon
+                label = SEQUENTIAL
+            if spent + increment > self.total_epsilon + 1e-9:
+                raise BudgetRefusal(self.remaining)
+            spent += increment
+            entries.append(LedgerEntry(digest, epsilon, increment, time.time(), label))
+        self.spent = spent
+        self._batch_charged.update(batch_charged)
+        self.entries.extend(entries)
 
     def replay(self) -> float:
         total = 0.0
@@ -146,54 +163,81 @@ class Curator:
         return self._ledgers[identity]
 
     def answer(self, query: CuratorQuery) -> CuratorAnswer:
-        """Atomic check-charge-sample-reply. Refusals consume no randomness."""
-        with self._lock:
-            allowed = mech.MECHANISMS + ((mech.EXACT,) if self._allow_exact else ())
-            if query.mechanism not in allowed:
-                raise MechanismError(f"mechanism {query.mechanism!r} not available")
-            # validate before the ledger is touched: an invalid query costs nothing
-            params = mech.PrivacyParams(query.epsilon, query.delta)
-            if query.mechanism == mech.GAUSSIAN:
-                mech.gaussian_sigma(params)  # raises outside the Gaussian limits
-            digest = query.digest()
-            for rc in query.clauses:
-                # a numeric test on a categorical column would raise inside the mask
-                kind = self._data.feature_kinds.get(rc.clause.feature)
-                if kind is not None and kind != rc.clause.kind:
-                    raise DataError(f"feature {rc.clause.feature!r} is {kind}, not {rc.clause.kind}")
-            mask = rule_mask(query.clauses, self._data)  # raises on unknown features
+        """Answer one query as a batch of one."""
+        return self.answer_batch([query])[0]
 
-            ledger = self.ledger(query.identity)
-            if query.composition == PARALLEL:
-                if not query.batch_id:
+    def answer_batch(self, queries) -> list[CuratorAnswer]:
+        """Atomic validate-check-charge-sample over the whole batch.
+
+        Every query is validated, then checked for batch disjointness, then
+        the batch is charged in one admission; noise is drawn query by query
+        in batch order only after that. A refusal or an invalid query anywhere
+        in the batch charges nothing and consumes no randomness.
+        """
+        queries = list(queries)
+        with self._lock:
+            # validate before the ledger is touched: an invalid query costs nothing
+            params = [self._validate(q) for q in queries]
+            if len({q.identity for q in queries}) > 1:
+                raise ProtocolError("a batch must come from a single identity")
+            if not queries:
+                return []
+            masks = prefix_masks([q.clauses for q in queries], self._data)
+            ledger = self.ledger(queries[0].identity)
+            batch_masks: dict[tuple[str, str], np.ndarray] = {}
+            for q, mask in zip(queries, masks):
+                if q.composition != PARALLEL:
+                    continue
+                if not q.batch_id:
                     # missing disjointness assertion
                     raise BudgetRefusal(ledger.remaining)
-                key = (query.identity, query.batch_id)
-                seen = self._batch_masks.get(key)
+                key = (q.identity, q.batch_id)
+                seen = batch_masks.get(key, self._batch_masks.get(key))
                 if seen is not None and bool((seen & mask).any()):
                     # batch predicates must be disjoint on the curator's data
                     raise BudgetRefusal(ledger.remaining)
-            elif query.composition != SEQUENTIAL:
-                raise ProtocolError(f"unknown composition class {query.composition!r}")
+                batch_masks[key] = mask if seen is None else (seen | mask)
 
-            ledger.charge(digest, query.epsilon, query.composition, query.batch_id)
-            if query.composition == PARALLEL:
-                key = (query.identity, query.batch_id)
-                seen = self._batch_masks.get(key)
-                self._batch_masks[key] = mask if seen is None else (seen | mask)
+            digests = [q.digest() for q in queries]
+            ledger.charge_all((d, q.epsilon, q.composition, q.batch_id)
+                              for d, q in zip(digests, queries))
+            self._batch_masks.update(batch_masks)
+            return [self._sample(q, p, mask, d)
+                    for q, p, mask, d in zip(queries, params, masks, digests)]
 
-            exact = np.bincount(self._groups[mask], minlength=self.k).astype(float)
-            if query.mechanism == mech.LAPLACE:
-                counts = mech.laplace_histogram(exact, params, self._rng)
-            elif query.mechanism == mech.GAUSSIAN:
-                counts = mech.gaussian_histogram(exact, params, self._rng)
-            elif query.mechanism == mech.EXPONENTIAL:
-                # candidate answers range from zero to the number of
-                # individuals the rule applies to
-                counts = mech.exponential_histogram(exact, int(mask.sum()), params, self._rng)
-            else:
-                counts = mech.exact_histogram_stub(exact)
-            return CuratorAnswer(counts, self.k, query.mechanism, digest)
+    def _validate(self, query: CuratorQuery) -> mech.PrivacyParams:
+        allowed = mech.MECHANISMS + ((mech.EXACT,) if self._allow_exact else ())
+        if query.mechanism not in allowed:
+            raise MechanismError(f"mechanism {query.mechanism!r} not available")
+        params = mech.PrivacyParams(query.epsilon, query.delta)
+        if query.mechanism == mech.GAUSSIAN:
+            mech.gaussian_sigma(params)  # raises outside the Gaussian limits
+        for rc in query.clauses:
+            feature = rc.clause.feature
+            if feature not in self._data.columns:
+                raise RoutingError(feature)
+            # a numeric test on a categorical column would raise inside the mask
+            kind = self._data.feature_kinds.get(feature)
+            if kind is not None and kind != rc.clause.kind:
+                raise DataError(f"feature {feature!r} is {kind}, not {rc.clause.kind}")
+        if query.composition not in (SEQUENTIAL, PARALLEL):
+            raise ProtocolError(f"unknown composition class {query.composition!r}")
+        return params
+
+    def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
+                digest: str) -> CuratorAnswer:
+        exact = np.bincount(self._groups[mask], minlength=self.k).astype(float)
+        if query.mechanism == mech.LAPLACE:
+            counts = mech.laplace_histogram(exact, params, self._rng)
+        elif query.mechanism == mech.GAUSSIAN:
+            counts = mech.gaussian_histogram(exact, params, self._rng)
+        elif query.mechanism == mech.EXPONENTIAL:
+            # candidate answers range from zero to the number of
+            # individuals the rule applies to
+            counts = mech.exponential_histogram(exact, int(mask.sum()), params, self._rng)
+        else:
+            counts = mech.exact_histogram_stub(exact)
+        return CuratorAnswer(counts, self.k, query.mechanism, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +315,25 @@ def frame_to_query(frame: dict) -> CuratorQuery:
         epsilon=epsilon,
         mechanism=mechanism,
         delta=delta,
-        composition=PARALLEL if batch_id else SEQUENTIAL,
+        # any batch_id key, even null or "", asserts parallel composition; the
+        # curator refuses a parallel query without an id, as it does in process
+        composition=PARALLEL if "batch_id" in frame else SEQUENTIAL,
         batch_id=batch_id,
         identity=identity,
     )
+
+
+def batch_to_frame(queries) -> dict:
+    return {"type": "batch", "queries": [query_to_frame(q) for q in queries]}
+
+
+def frame_to_batch(frame: dict) -> list[CuratorQuery]:
+    queries = frame.get("queries")
+    if not isinstance(queries, list) or not all(
+        isinstance(q, dict) and q.get("type") == "query" for q in queries
+    ):
+        raise ProtocolError("a batch frame carries a list of query frames")
+    return [frame_to_query(q) for q in queries]
 
 
 def answer_to_frame(a: CuratorAnswer) -> dict:
@@ -285,6 +344,11 @@ def answer_to_frame(a: CuratorAnswer) -> dict:
         "mechanism": a.mechanism,
         "digest": a.digest,
     }
+
+
+def frame_to_answer(frame: dict) -> CuratorAnswer:
+    counts = np.array([float(c) for c in frame["counts"]], dtype=float)
+    return CuratorAnswer(counts, int(frame["k"]), frame["mechanism"], frame["digest"])
 
 
 def refusal_frame(remaining: float, digest: str | None = None) -> dict:
@@ -302,11 +366,12 @@ def process_frame(curator: Curator, frame_line: bytes) -> dict:
     """One request frame in, one reply frame out; never raises."""
     try:
         frame = decode_frame(frame_line)
-        if frame["type"] != "query":
-            raise ProtocolError(f"unexpected frame type {frame['type']!r}")
-        query = frame_to_query(frame)
-        answer = curator.answer(query)
-        return answer_to_frame(answer)
+        if frame["type"] == "query":
+            return answer_to_frame(curator.answer(frame_to_query(frame)))
+        if frame["type"] == "batch":
+            answers = curator.answer_batch(frame_to_batch(frame))
+            return {"type": "answers", "answers": [answer_to_frame(a) for a in answers]}
+        raise ProtocolError(f"unexpected frame type {frame['type']!r}")
     except BudgetRefusal as exc:
         return refusal_frame(exc.remaining_epsilon)
     except (ProtocolError, MechanismError, ParameterError, DataError, KeyError) as exc:
@@ -324,16 +389,26 @@ class InProcessClient:
         self.identity = identity
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        if query.identity != self.identity:
-            query = replace(query, identity=self.identity)
-        return self._curator.answer(query)
+        return self._curator.answer(_as_identity(query, self.identity))
+
+    def ask_batch(self, queries) -> list[CuratorAnswer]:
+        return self._curator.answer_batch([_as_identity(q, self.identity) for q in queries])
+
+
+def _as_identity(query: CuratorQuery, identity: str) -> CuratorQuery:
+    return query if query.identity == identity else replace(query, identity=identity)
 
 
 class _CuratorHandler(socketserver.StreamRequestHandler):
     def handle(self):
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_FRAME_BYTES + 1)
             if not line:
+                return
+            if len(line) > MAX_FRAME_BYTES:
+                # the rest of the line is never read; the connection closes
+                self.wfile.write(encode_frame(error_frame(
+                    f"frame longer than {MAX_FRAME_BYTES} bytes")))
                 return
             if not line.strip():
                 continue
@@ -371,16 +446,26 @@ class WireClient:
         self._file = self._sock.makefile("rb")
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        if query.identity != self.identity:
-            query = replace(query, identity=self.identity)
-        self._sock.sendall(encode_frame(query_to_frame(query)))
+        request = query_to_frame(_as_identity(query, self.identity))
+        return frame_to_answer(self._exchange(request, "answer"))
+
+    def ask_batch(self, queries) -> list[CuratorAnswer]:
+        request = batch_to_frame([_as_identity(q, self.identity) for q in queries])
+        answers = self._exchange(request, "answers")["answers"]
+        if len(answers) != len(request["queries"]):
+            raise ProtocolError("the answers frame does not match the batch")
+        return [frame_to_answer(a) for a in answers]
+
+    def _exchange(self, request: dict, expected: str) -> dict:
+        """Send one request frame; return the reply frame of the expected type
+        or raise the curator's refusal or error."""
+        self._sock.sendall(encode_frame(request))
         line = self._file.readline()
         if not line:
             raise ProtocolError("curator closed the connection")
         frame = decode_frame(line)
-        if frame["type"] == "answer":
-            counts = np.array([float(c) for c in frame["counts"]], dtype=float)
-            return CuratorAnswer(counts, int(frame["k"]), frame["mechanism"], frame["digest"])
+        if frame["type"] == expected:
+            return frame
         if frame["type"] == "refusal":
             raise BudgetRefusal(float(frame["remaining_epsilon"]))
         if frame["type"] == "error":

@@ -1,9 +1,10 @@
 """Statistical-parity estimation for a tree through DP histogram queries.
 
-The audit asks the curator one tautology query (the overall group
-composition) at half the budget, then one half-budget query per favorable
-rule as a parallel batch of disjoint predicates, so the total spend is
-exactly the given epsilon. Per-group acceptance rates accumulate as
+The audit is one batch request to the curator: one tautology query (the
+overall group composition) at half the budget, then one half-budget query
+per favorable rule as a parallel batch of disjoint predicates, so the total
+spend is exactly the given epsilon. The curator answers the whole request or
+refuses it without charging anything. Per-group acceptance rates accumulate as
 repaired-rule-histogram over tautology-histogram, elementwise; the estimate
 is their min/max ratio. Invalid cells (negative, or larger than the public
 row count) are counted before the repair policy maps them to valid values.
@@ -98,9 +99,10 @@ def estimate_sp(
 
     population is the public row count of the audited split (used for
     validity flags and repairs, never as a denominator of exact counts).
-    Raises BudgetRefusal if the curator refuses, DegenerateEstimateError if
-    a denominator cell is nonpositive after repair or every acceptance rate
-    is zero.
+    The 1 + R queries go out in one client.ask_batch call. Raises
+    BudgetRefusal if the curator refuses (nothing is spent then),
+    DegenerateEstimateError if a denominator cell is nonpositive after repair
+    or every acceptance rate is zero.
     """
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -108,18 +110,14 @@ def estimate_sp(
     rules = favorable_rules(pruned)
     half = epsilon / 2.0
 
-    taut_query = CuratorQuery((), half, mechanism, delta, SEQUENTIAL)
-    taut_answer = client.ask(taut_query)
-    k = taut_answer.k
-
     if batch_id is None:
         # a fresh nonce per audit, so a repeat audit opens a batch of its own
         batch_id = f"rules-{secrets.token_hex(8)}"
-
-    rule_answers = []
-    for rule in rules:
-        query = CuratorQuery(rule.clauses, half, mechanism, delta, PARALLEL, batch_id)
-        rule_answers.append(client.ask(query))
+    queries = [CuratorQuery((), half, mechanism, delta, SEQUENTIAL)]
+    queries += [CuratorQuery(rule.clauses, half, mechanism, delta, PARALLEL, batch_id)
+                for rule in rules]
+    taut_answer, *rule_answers = client.ask_batch(queries)
+    k = taut_answer.k
 
     invalid = 0
     totals, taut_invalid = repair_histogram(taut_answer.counts, policy, population, float(population))

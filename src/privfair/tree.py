@@ -79,6 +79,32 @@ def rule_mask(clauses, data: Dataset) -> np.ndarray:
     return out
 
 
+def prefix_masks(conjunctions, data: Dataset) -> list[np.ndarray]:
+    """rule_mask of each clause conjunction in order, reusing shared prefixes.
+
+    A stack holds the masks of the previous conjunction's clause prefixes;
+    each conjunction keeps the entries of the prefix it shares with the
+    previous one and ANDs in only the clauses after it, so tree rules in
+    depth-first order evaluate every shared prefix once. Entries are never
+    written in place, so one array may be returned for several conjunctions.
+    """
+    stack = [np.ones(data.n, dtype=bool)]
+    previous = ()
+    out = []
+    for clauses in conjunctions:
+        shared = 0
+        for a, b in zip(previous, clauses):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for rc in clauses[shared:]:
+            stack.append(stack[-1] & rc.mask(data))
+        out.append(stack[-1])
+        previous = clauses
+    return out
+
+
 @dataclass(frozen=True)
 class Leaf:
     klass: int

@@ -1,5 +1,7 @@
 import math
+import socket
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from privfair import curator as C
 from privfair.data import Dataset, SensitiveTable
-from privfair.errors import BudgetRefusal, MechanismError, ProtocolError
+from privfair.errors import BudgetRefusal, MechanismError, ParameterError, ProtocolError
 from privfair.tree import RuleClause, SplitClause
 
 from conftest import FIXTURES
@@ -168,6 +170,94 @@ def test_ledger_monotone_and_replayable():
 
 
 # ---------------------------------------------------------------------------
+# batches: all or nothing, bit-identical to one-by-one answering
+
+def audit_queries(batch_id="b"):
+    """A tautology plus a disjoint partition whose rules share clause prefixes."""
+    parts = [
+        ((lt("x", 10.0), lt("x", 5.0)), "laplace", 0.0),
+        ((lt("x", 10.0), lt("x", 5.0, True)), "gaussian", 1e-3),
+        ((lt("x", 10.0, True), eq("c", "a")), "exponential", 0.0),
+        ((lt("x", 10.0, True), eq("c", "a", True)), "laplace", 0.0),
+    ]
+    return [C.CuratorQuery((), 0.25, "laplace")] + [
+        C.CuratorQuery(clauses, 0.25, mechanism, delta, C.PARALLEL, batch_id)
+        for clauses, mechanism, delta in parts
+    ]
+
+
+def entries_without_time(cur, identity="default"):
+    return [replace(e, timestamp=0.0) for e in cur.ledger(identity).entries]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_answer_batch_matches_one_by_one(seed):
+    queries = audit_queries()
+    batched = fixed_curator(total_epsilon=1.0, seed=seed)
+    one_by_one = fixed_curator(total_epsilon=1.0, seed=seed)
+    got = batched.answer_batch(queries)
+    want = [one_by_one.answer(q) for q in queries]
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+    assert [a.digest for a in got] == [q.digest() for q in queries]
+    assert entries_without_time(batched) == entries_without_time(one_by_one)
+    assert len(batched.ledger().entries) == len(queries)
+    assert batched.ledger().spent == one_by_one.ledger().spent == 0.5
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        (C.CuratorQuery((lt("zz", 1.0),), 0.25, "laplace", composition=C.PARALLEL,
+                        batch_id="b"), KeyError),
+        (C.CuratorQuery((), 0.25, "exact"), MechanismError),
+        (C.CuratorQuery((), 1.5, "gaussian", delta=1e-5), ParameterError),
+        (C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
+                        batch_id="b"), BudgetRefusal),
+        (C.CuratorQuery((), 0.25, "laplace", composition=C.PARALLEL), BudgetRefusal),
+        (C.CuratorQuery((), 0.6, "laplace"), BudgetRefusal),
+        (C.CuratorQuery((), 0.25, "laplace", identity="other"), ProtocolError),
+    ],
+    ids=["unknown-feature", "gated-mechanism", "gaussian-limit", "overlapping",
+         "missing-batch-id", "over-budget", "mixed-identity"],
+)
+def test_batch_with_a_bad_last_query_charges_nothing_and_draws_no_noise(last, error):
+    cur = fixed_curator(total_epsilon=1.0, seed=43)
+    with pytest.raises(error):
+        cur.answer_batch(audit_queries() + [last])
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+    # neither the noise stream nor the batch's disjointness state moved
+    fresh = fixed_curator(total_epsilon=1.0, seed=43)
+    got = cur.answer_batch(audit_queries())
+    want = fresh.answer_batch(audit_queries())
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
+def test_refused_batch_reports_the_untouched_remaining_budget():
+    cur = fixed_curator(total_epsilon=0.4, seed=47)
+    with pytest.raises(BudgetRefusal) as exc:
+        cur.answer_batch(audit_queries())  # 0.25 + 0.25 > 0.4
+    assert exc.value.remaining_epsilon == pytest.approx(0.4)
+    assert cur.ledger().spent == 0.0
+
+
+def test_empty_batch_is_answered_with_nothing():
+    cur = fixed_curator(seed=53)
+    assert cur.answer_batch([]) == []
+    assert cur.ledger().entries == []
+
+
+def test_batch_spanning_two_requests_is_still_checked_for_overlap():
+    cur = fixed_curator(total_epsilon=2.0, seed=59)
+    queries = audit_queries()
+    cur.answer_batch(queries[:3])
+    with pytest.raises(BudgetRefusal):
+        cur.answer_batch([queries[1]])
+    cur.answer_batch(queries[3:])
+    assert cur.ledger().spent == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
 # frames
 
 def test_clause_wire_roundtrip():
@@ -323,22 +413,31 @@ query_frames = perturbed(
 )
 
 
+batch_frames = st.lists(query_frames, max_size=4).map(
+    lambda queries: {"type": "batch", "queries": queries}
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(query_frames, min_size=1, max_size=8))
+@given(st.lists(query_frames | batch_frames, min_size=1, max_size=8))
 def test_process_frame_never_raises_and_ledger_holds(frames):
     cur = fixed_curator(total_epsilon=1.0)
+    members = [q for f in frames for q in f.get("queries", [f])]
     identities = {"default"} | {
-        f["identity"] for f in frames if isinstance(f.get("identity"), str)
+        q["identity"] for q in members if isinstance(q.get("identity"), str)
     }
-    before = {identity: 0.0 for identity in identities}
+    before = {identity: (0.0, 0) for identity in identities}
     for frame in frames:
         reply = C.process_frame(cur, C.encode_frame(frame))
-        assert reply["type"] in ("answer", "refusal", "error")
+        assert reply["type"] in ("answer", "answers", "refusal", "error")
         for identity in identities:
-            spent = cur.ledger(identity).spent
-            assert math.isfinite(spent)
-            assert before[identity] <= spent <= 1.0 + 1e-9
-            before[identity] = spent
+            ledger = cur.ledger(identity)
+            now = (ledger.spent, len(ledger.entries))
+            assert math.isfinite(ledger.spent)
+            assert before[identity][0] <= ledger.spent <= 1.0 + 1e-9
+            if reply["type"] not in ("answer", "answers"):
+                assert now == before[identity]  # a refused or bad request costs nothing
+            before[identity] = now
 
 
 def test_answer_frame_matches_query_digest():
@@ -347,6 +446,60 @@ def test_answer_frame_matches_query_digest():
     reply = C.process_frame(cur, C.encode_frame(C.query_to_frame(q)))
     assert reply["type"] == "answer"
     assert reply["digest"] == q.digest()
+
+
+def test_batch_frame_gets_one_answers_frame():
+    queries = audit_queries()
+    cur = fixed_curator(seed=61)
+    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(queries)))
+    assert reply["type"] == "answers"
+    ref = fixed_curator(seed=61)
+    assert reply["answers"] == [C.answer_to_frame(ref.answer(q)) for q in queries]
+    assert entries_without_time(cur) == entries_without_time(ref)
+
+
+def test_refused_batch_frame_charges_nothing():
+    cur = fixed_curator(total_epsilon=1.0, seed=67)
+    overlapping = C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
+                                 batch_id="b")
+    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(audit_queries() + [overlapping])))
+    assert reply == C.refusal_frame(1.0)
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"type": "batch"},
+        {"type": "batch", "queries": "abc"},
+        {"type": "batch", "queries": {"type": "query"}},
+        {"type": "batch", "queries": [1]},
+        {"type": "batch", "queries": [{"type": "batch", "queries": []}]},
+        {"type": "batch", "queries": [C.query_to_frame(C.CuratorQuery((), 0.1, "laplace")),
+                                      {"type": "query", "mechanism": "laplace"}]},
+    ],
+    ids=["no-queries", "string", "object", "number", "nested-batch", "bad-member"],
+)
+def test_malformed_batch_frame_gets_error_frame(frame):
+    cur = fixed_curator(total_epsilon=1.0)
+    reply = C.process_frame(cur, C.encode_frame(frame))
+    assert reply["type"] == "error"
+    assert cur.ledger().entries == []
+
+
+@pytest.mark.parametrize("batch_id", [None, ""], ids=["null", "empty"])
+def test_batch_id_key_keeps_the_parallel_flag_on_the_wire(batch_id):
+    cur = fixed_curator(total_epsilon=1.0)
+    reply = C.process_frame(cur, raw_query_frame(epsilon="0.5", batch_id=batch_id))
+    assert reply["type"] == "refusal"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+    # the in-process curator refuses the same query
+    query = C.CuratorQuery((), 0.5, "laplace", composition=C.PARALLEL, batch_id=batch_id)
+    with pytest.raises(BudgetRefusal):
+        cur.answer(query)
+    assert C.process_frame(cur, C.encode_frame(C.query_to_frame(query)))["type"] == "refusal"
 
 
 # ---------------------------------------------------------------------------
@@ -439,3 +592,68 @@ def test_parallel_batch_charges_the_maximum_epsilon():
                                   composition=C.PARALLEL, batch_id="bmax"))
     assert cur.ledger().spent == pytest.approx(0.5)
     assert cur.ledger().replay() == cur.ledger().spent
+
+
+def serving(cur):
+    server = C.CuratorServer(cur, "127.0.0.1", 0)
+    server.serve_in_background()
+    return server
+
+
+def test_wire_ask_batch_matches_in_process():
+    queries = audit_queries()
+    server = serving(fixed_curator(seed=71))
+    try:
+        with C.WireClient(*server.address) as client:
+            got = client.ask_batch(queries)
+            with pytest.raises(BudgetRefusal):
+                client.ask_batch(queries)  # the batch id is spent
+            with pytest.raises(ProtocolError):
+                client.ask_batch([C.CuratorQuery((), 0.1, "exact")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    want = C.InProcessClient(fixed_curator(seed=71)).ask_batch(queries)
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+    assert [a.digest for a in got] == [a.digest for a in want]
+
+
+def test_wire_ask_batch_rejects_a_short_answers_frame(monkeypatch):
+    process_frame = C.process_frame
+
+    def drop_last(curator, line):
+        reply = process_frame(curator, line)
+        return {**reply, "answers": reply["answers"][:-1]}
+
+    monkeypatch.setattr(C, "process_frame", drop_last)
+    server = serving(fixed_curator(seed=79))
+    try:
+        with C.WireClient(*server.address) as client:
+            with pytest.raises(ProtocolError):
+                client.ask_batch(audit_queries())
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_frame_over_the_cap_gets_an_error_and_the_connection_closes():
+    cur = fixed_curator(total_epsilon=1.0, seed=73)
+    server = serving(cur)
+    try:
+        with socket.create_connection(server.address, timeout=30) as sock:
+            reader = sock.makefile("rb")
+            line = C.encode_frame(C.query_to_frame(C.CuratorQuery((), 0.5, "laplace")))
+            padded = line[:-2] + b" " * (2 * C.MAX_FRAME_BYTES) + line[-2:]
+            try:
+                sock.sendall(padded)
+            except OSError:
+                pass  # the server may close before the whole line is sent
+            reply = C.decode_frame(reader.readline())
+            assert reply["type"] == "error"
+            assert str(C.MAX_FRAME_BYTES) in reply["message"]
+            assert reader.readline() == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from privfair import curator as C
 from privfair import estimator as E
 from privfair import tree as T
 from privfair.curator import Curator, InProcessClient
@@ -283,6 +286,9 @@ def test_budget_refusal_aborts():
     cur = curator_for(ds, table, budget=0.4, allow_exact=False)
     with pytest.raises(BudgetRefusal):
         E.estimate_sp(tree, InProcessClient(cur), 0.5, population=ds.n, mechanism="laplace")
+    # the audit is one request: refused whole, it spends nothing
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
 
 
 def test_sp_always_in_unit_interval():
@@ -350,6 +356,9 @@ class StubClient:
         counts = np.asarray(self._answers.pop(0), dtype=float)
         return CuratorAnswer(counts, self.k, query.mechanism, query.digest())
 
+    def ask_batch(self, queries):
+        return [self.ask(q) for q in queries]
+
 
 def two_leaf_tree():
     root = T.Branch(T.SplitClause("x", "numeric", 0.5), leaf(1, 5, (0, 5)), leaf(0, 5, (5, 0)), 10)
@@ -378,3 +387,71 @@ def test_rule_uniform_repair_uses_noisy_rule_total():
     est = E.estimate_sp(two_leaf_tree(), client, 1.0, population=200)
     assert est.accept_rates[0] == pytest.approx(25.0 / 50.0)
     assert est.invalid_cells == 1
+
+
+class RecordingClient(InProcessClient):
+    """An in-process client that records every call the auditor makes."""
+
+    def __init__(self, curator):
+        super().__init__(curator)
+        self.calls = []
+
+    def ask(self, query):
+        self.calls.append(("ask", query))
+        return super().ask(query)
+
+    def ask_batch(self, queries):
+        self.calls.append(("ask_batch", list(queries)))
+        return super().ask_batch(queries)
+
+
+@pytest.mark.parametrize("mechanism, delta", [("laplace", 0.0), ("exponential", 0.0),
+                                              ("gaussian", 1e-3)])
+def test_audit_is_one_batch_request_identical_to_one_by_one(mechanism, delta):
+    ds, table = make_dataset(n=300, seed=31)
+    tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.02))
+    n_rules = len(T.favorable_rules(T.prune_redundant(tree)))
+    cur = curator_for(ds, table, budget=1.0, seed=9, allow_exact=False)
+    client = RecordingClient(cur)
+    est = E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=mechanism, delta=delta)
+    assert [kind for kind, _ in client.calls] == ["ask_batch"]
+    queries = client.calls[0][1]
+    assert len(queries) == 1 + n_rules == est.query_count
+
+    ref = curator_for(ds, table, budget=1.0, seed=9, allow_exact=False)
+    answers = [ref.answer(q) for q in queries]
+    stub = StubClient([a.counts for a in answers], k=table.k)
+    assert E.estimate_sp(tree, stub, 0.5, population=ds.n, mechanism=mechanism,
+                         delta=delta) == est
+    entries = [[replace(e, timestamp=0.0) for e in c.ledger().entries] for c in (cur, ref)]
+    assert entries[0] == entries[1]
+    assert len(entries[0]) == 1 + n_rules
+
+
+def test_wire_audit_is_bit_identical_and_one_round_trip(monkeypatch):
+    ds, table = make_dataset(n=300, seed=37)
+    tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.02))
+    requests = []
+    process_frame = C.process_frame
+
+    def counting(curator, line):
+        requests.append(line)
+        return process_frame(curator, line)
+
+    monkeypatch.setattr(C, "process_frame", counting)
+    server = C.CuratorServer(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    server.serve_in_background()
+    try:
+        with C.WireClient(*server.address) as client:
+            wire = [E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=m, delta=1e-3,
+                                  batch_id=f"b-{m}")
+                    for m in ("laplace", "exponential", "gaussian")]
+    finally:
+        server.shutdown()
+        server.server_close()
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    local = [E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=m, delta=1e-3,
+                           batch_id=f"b-{m}")
+             for m in ("laplace", "exponential", "gaussian")]
+    assert wire == local
+    assert len(requests) == 3

@@ -221,6 +221,37 @@ def test_every_training_instance_matches_one_rule():
     assert (hits == 1).all()
 
 
+@pytest.mark.parametrize("height", [2, 4, 7])
+def test_prefix_masks_equal_rule_mask(height):
+    ds, _ = make_dataset(n=300, seed=5)
+    tree = T.fit(ds, T.LearnerConfig(max_height=height, minleaf_fraction=0.01))
+    paths = [rule.clauses for rule in T.extract_rules(tree)]
+    assert max(len(p) for p in paths) >= min(height, 3)
+    prefixes = [p[:i] for p in paths for i in range(len(p) + 1)]  # rules that prefix others
+    rng = np.random.default_rng(height)
+    orders = [
+        paths,
+        paths[::-1],
+        [paths[i] for i in rng.permutation(len(paths))],
+        [p for p in paths for _ in range(2)],  # duplicates
+        prefixes,
+        prefixes[::-1],
+        [(paths + prefixes)[i] for i in rng.permutation(len(paths) + len(prefixes))],
+    ]
+    for conjunctions in orders:
+        masks = T.prefix_masks(conjunctions, ds)
+        assert len(masks) == len(conjunctions)
+        for clauses, mask in zip(conjunctions, masks):
+            assert np.array_equal(mask, T.rule_mask(clauses, ds))
+
+
+def test_prefix_masks_of_nothing_and_of_the_tautology():
+    ds, _ = make_dataset(n=20, seed=1)
+    assert T.prefix_masks([], ds) == []
+    (mask,) = T.prefix_masks([()], ds)
+    assert mask.all() and len(mask) == ds.n
+
+
 # ---------------------------------------------------------------------------
 # prune_redundant
 
