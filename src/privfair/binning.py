@@ -143,7 +143,9 @@ def apply_binning(data: Dataset, report: BinningReport) -> Dataset:
             continue
         cuts = np.array(binning.cuts, dtype=float)
         idx = np.searchsorted(cuts, data.columns[name], side="left")
-        columns[name] = np.array([binning.labels[i] for i in idx], dtype=str)
+        # the width of the longest label present, as np.array(list of str) gives
+        width = np.array([len(label) for label in binning.labels])[idx].max(initial=1)
+        columns[name] = np.array(binning.labels, dtype=f"<U{width}")[idx]
         kinds[name] = CATEGORICAL
     return Dataset(
         data.instance_ids.copy(), data.feature_names, kinds, columns, data.labels.copy()

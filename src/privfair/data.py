@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class Dataset:
     feature_kinds: dict[str, str]
     columns: dict[str, np.ndarray]
     labels: np.ndarray
+    _codes: dict[str, tuple[np.ndarray, np.ndarray]] = field(  # memo of codes()
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         n = len(self.instance_ids)
@@ -55,6 +58,18 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.instance_ids)
+
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted category table and int codes of a column, encoded on first use.
+
+        The table is in np.unique order, so code order is category order;
+        both arrays are read-only and kept for the life of the table.
+        """
+        hit = self._codes.get(name)
+        if hit is None:  # setdefault: threads that race here all get the first stored pair
+            cats, codes = np.unique(self.columns[name], return_inverse=True)
+            hit = self._codes.setdefault(name, (_freeze(cats), _freeze(codes)))
+        return hit
 
     def numeric_features(self) -> tuple[str, ...]:
         return tuple(f for f in self.feature_names if self.feature_kinds[f] == NUMERIC)

@@ -41,10 +41,16 @@ class SplitClause:
     def mask(self, data: Dataset, idx: np.ndarray | None = None) -> np.ndarray:
         if self.feature not in data.columns:
             raise RoutingError(self.feature)
-        col = data.columns[self.feature]
+        if self.kind == NUMERIC:
+            col = data.columns[self.feature]
+            return (col if idx is None else col[idx]) < self.value
+        cats, codes = data.codes(self.feature)
         if idx is not None:
-            col = col[idx]
-        return (col < self.value) if self.kind == NUMERIC else (col == self.value)
+            codes = codes[idx]
+        j = int(np.searchsorted(cats, self.value))
+        if j == len(cats) or cats[j] != self.value:
+            return np.zeros(len(codes), dtype=bool)  # a value absent from the column matches no row
+        return codes == j
 
 
 @dataclass(frozen=True)
@@ -196,13 +202,13 @@ class _BuildNode:
         self.best = None  # (gain, feature, clause, left_local_mask)
 
 
-def _best_split(node, data, y, minleaf, config, rng, n_total):
+def _best_split(node, data, yf, minleaf, config, rng, n_total):
     m = len(node.idx)
     if node.depth >= config.max_height or m < 2 * minleaf:
         return None
     if node.ones == 0 or node.ones == m:
         return None  # pure
-    ysub = y[node.idx].astype(float)
+    ysub = yf[node.idx]
     parent_imp = float(_impurity(np.array([node.ones / m]), config.criterion)[0]) * m
 
     n_feat = len(data.feature_names)
@@ -215,8 +221,8 @@ def _best_split(node, data, y, minleaf, config, rng, n_total):
     best = None  # (gain, clause, left_local_mask)
     for fi in feat_ids:
         name = data.feature_names[fi]
-        col = data.columns[name][node.idx]
         if data.feature_kinds[name] == NUMERIC:
+            col = data.columns[name][node.idx]
             order = np.argsort(col, kind="stable")
             sv = col[order]
             sy = ysub[order]
@@ -244,11 +250,12 @@ def _best_split(node, data, y, minleaf, config, rng, n_total):
                 clause = SplitClause(name, NUMERIC, thr)
                 best = (gain, clause, col < thr)
         else:
-            cats, codes = np.unique(col, return_inverse=True)
-            if len(cats) < 2:
+            cats, codes = data.codes(name)
+            codes = codes[node.idx]
+            sizes = np.bincount(codes, minlength=len(cats)).astype(float)
+            if np.count_nonzero(sizes) < 2:
                 continue
-            sizes = np.bincount(codes).astype(float)
-            ones = np.bincount(codes, weights=ysub)
+            ones = np.bincount(codes, weights=ysub, minlength=len(cats))
             n_left = sizes
             n_right = m - sizes
             ok = (n_left >= minleaf) & (n_right >= minleaf)
@@ -295,10 +302,11 @@ def fit(data: Dataset, config: LearnerConfig) -> DecisionTree:
         )
     minleaf = int(math.ceil(config.minleaf_fraction * n))
     y = np.asarray(data.labels)
+    yf = y.astype(float)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed])))
 
     root = _BuildNode(np.arange(n), 0, int(y.sum()))
-    root.best = _best_split(root, data, y, minleaf, config, rng, n)
+    root.best = _best_split(root, data, yf, minleaf, config, rng, n)
     heap = []
     seq = 0
     if root.best is not None:
@@ -317,7 +325,7 @@ def fit(data: Dataset, config: LearnerConfig) -> DecisionTree:
         children[id(node)] = (clause, left, right)
         n_leaves += 1
         for child in (left, right):
-            child.best = _best_split(child, data, y, minleaf, config, rng, n)
+            child.best = _best_split(child, data, yf, minleaf, config, rng, n)
             if child.best is not None:
                 heapq.heappush(heap, (-child.best[0], seq, child))
                 seq += 1

@@ -62,6 +62,12 @@ def test_exact_histogram_matches_brute_force_filter():
     assert got == [float(e) for e in expected]
 
 
+def test_exact_histogram_category_absent_from_column():
+    assert exact_counts((eq("c", "zz"),)) == [0.0, 0.0]
+    assert exact_counts((eq("c", "0"),)) == [0.0, 0.0]
+    assert exact_counts((eq("c", "zz", negated=True),)) == [10.0, 10.0]
+
+
 def test_exact_histogram_unknown_feature_errors():
     with pytest.raises(KeyError):
         exact_counts((lt("zz", 1.0),))

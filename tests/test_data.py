@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -409,6 +413,65 @@ def test_fixture_goldens_byte_match(tmp_path, fixtures_dir):
 
 
 # ---------------------------------------------------------------------------
+# categorical codes
+
+def test_codes_are_the_sorted_table_and_memoized_read_only(fixtures_dir):
+    (train, _), _ = D.load_adult(fixtures_dir / "adult.data", fixtures_dir / "adult.test")
+    col = train.columns["occupation"]
+    cats, codes = train.codes("occupation")
+    want_cats, want_codes = np.unique(col, return_inverse=True)
+    assert cats.tolist() == want_cats.tolist() and codes.tolist() == want_codes.tolist()
+    assert (cats[codes] == col).all()
+    assert not cats.flags.writeable and not codes.flags.writeable
+    again = train.codes("occupation")
+    assert again[0] is cats and again[1] is codes
+    # the string columns are what the loader built: read-only str arrays
+    for name in train.feature_names:
+        col = train.columns[name]
+        assert not col.flags.writeable
+        if train.feature_kinds[name] == D.CATEGORICAL:
+            assert col.dtype.kind == "U"
+
+
+def test_codes_leave_equality_and_repr_alone():
+    ds = D.Dataset(np.arange(3), ("c",), {"c": D.CATEGORICAL}, {"c": np.array(["b", "a", "b"])},
+                   np.array([0, 1, 0]))
+    twin = dataclasses.replace(ds)  # shares the arrays, not the codes
+    before = repr(ds)
+    ds.codes("c")
+    assert repr(ds) == before == repr(twin)
+    assert ds == twin
+    assert [f.name for f in dataclasses.fields(D.Dataset) if f.compare] == [
+        "instance_ids", "feature_names", "feature_kinds", "columns", "labels"]
+
+
+def test_codes_racing_threads_share_one_pair():
+    col = np.array(["b", "a", "c"] * 20_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ds = D.Dataset(np.arange(col.size), ("c",), {"c": D.CATEGORICAL}, {"c": col},
+                           np.zeros(col.size, dtype=int))
+            start = threading.Barrier(4)
+            got = []
+
+            def encode():
+                start.wait(timeout=10)
+                got.append(ds.codes("c"))
+
+            threads = [threading.Thread(target=encode) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and len(got) == 4
+            assert all(pair is ds.codes("c") for pair in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
 # binning
 
 def test_binning_depth_average_rounding():
@@ -488,3 +551,16 @@ def test_apply_binning_train_test_consistent(small_data):
     reapplied = B.apply_binning(ds, report)
     for name in ds.feature_names:
         assert np.array_equal(binned.columns[name], reapplied.columns[name])
+
+
+def test_apply_binning_keeps_values_and_width_of_present_labels():
+    ds = D.Dataset(np.arange(5), ("x",), {"x": D.NUMERIC}, {"x": np.array([1.0, 12.0, 3.0, 40.0, 2.0])},
+                   np.array([0, 1, 0, 1, 0]))
+    cuts = (3, 10)
+    report = B.BinningReport({"x": B.FeatureBinning("x", cuts, "tree-thresholds", B._bin_labels(cuts))}, ())
+    binned = B.apply_binning(ds, report).columns["x"]
+    assert binned.tolist() == ["<=3", ">10", "<=3", ">10", "<=3"]
+    assert binned.dtype == np.dtype("<U3")  # "(3,10]" is absent, so it does not widen the column
+    assert B.apply_binning(ds.take(np.array([1, 2])), report).columns["x"].dtype == np.dtype("<U3")
+    empty = B.apply_binning(ds.take(np.array([], dtype=int)), report).columns["x"]
+    assert empty.dtype == np.array([], dtype=str).dtype and empty.size == 0

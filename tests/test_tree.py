@@ -183,6 +183,25 @@ def test_predict_matches_exactly_one_rule():
         assert matching[0].decision == T.predict(tree, inst)
 
 
+@pytest.mark.parametrize("value", ["0", "b0", "zz", "a ", ""])
+def test_categorical_value_absent_from_column_matches_no_row(value):
+    # "0" sorts before every category, "b0" between two, "zz" after all
+    ds = tiny_dataset({"c": ["a", "b", "c", "a"], "x": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 1, 0])
+    clause = T.SplitClause("c", "categorical", value)
+    assert not clause.mask(ds).any() and len(clause.mask(ds)) == 4
+    assert not clause.mask(ds, np.array([2, 0])).any()
+    tree = T.DecisionTree(T.Branch(clause, T.Leaf(1, 1, (0, 1)), T.Leaf(0, 3, (3, 0)), 4),
+                          {"c": "categorical", "x": "numeric"}, 4)
+    assert T.predict_dataset(tree, ds).tolist() == [0, 0, 0, 0]
+
+
+def test_categorical_mask_through_subset_index():
+    ds = tiny_dataset({"c": ["b", "a", "c", "b", "a"]}, [0, 1, 1, 0, 1])
+    clause = T.SplitClause("c", "categorical", "b")
+    assert clause.mask(ds).tolist() == [True, False, False, True, False]
+    assert clause.mask(ds, np.array([4, 3, 0])).tolist() == [False, True, True]
+
+
 # ---------------------------------------------------------------------------
 # extract_rules
 
@@ -429,3 +448,176 @@ def test_learner_config_validation():
         T.LearnerConfig(max_height=2, minleaf_fraction=0.1, feature_subsample="most")
     with pytest.raises(ParameterError):
         T.LearnerConfig(max_height=2, minleaf_fraction=0.1, criterion="mse")
+
+
+# ---------------------------------------------------------------------------
+# split search against the string reference
+
+def reference_best_split(node, data, y, minleaf, config, rng, n_total):
+    """The split search as it was before categorical columns were int-coded:
+    each node factorizes its categorical strings with np.unique."""
+    m = len(node.idx)
+    if node.depth >= config.max_height or m < 2 * minleaf:
+        return None
+    if node.ones == 0 or node.ones == m:
+        return None
+    ysub = y[node.idx].astype(float)
+    parent_imp = float(T._impurity(np.array([node.ones / m]), config.criterion)[0]) * m
+
+    n_feat = len(data.feature_names)
+    if config.feature_subsample == "all":
+        feat_ids = range(n_feat)
+    else:
+        k = max(1, int(math.sqrt(n_feat)) if config.feature_subsample == "sqrt" else int(math.log2(n_feat)))
+        feat_ids = sorted(rng.choice(n_feat, size=min(k, n_feat), replace=False).tolist())
+
+    best = None
+    for fi in feat_ids:
+        name = data.feature_names[fi]
+        col = data.columns[name][node.idx]
+        if data.feature_kinds[name] == "numeric":
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            sy = ysub[order]
+            cuts = np.flatnonzero(sv[:-1] != sv[1:])
+            if cuts.size == 0:
+                continue
+            n_left = cuts + 1
+            n_right = m - n_left
+            ok = (n_left >= minleaf) & (n_right >= minleaf)
+            if not ok.any():
+                continue
+            l1 = np.cumsum(sy)[cuts]
+            r1 = node.ones - l1
+            child = n_left * T._impurity(l1 / n_left, config.criterion) + n_right * T._impurity(
+                r1 / n_right, config.criterion
+            )
+            gains = np.where(ok, parent_imp - child, -np.inf)
+            j = int(np.argmax(gains))
+            if not np.isfinite(gains[j]):
+                continue
+            gain = float(gains[j]) / n_total
+            if best is None or gain > best[0] + T._GAIN_TOL:
+                thr = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
+                best = (gain, T.SplitClause(name, "numeric", thr), col < thr)
+        else:
+            cats, codes = np.unique(col, return_inverse=True)
+            if len(cats) < 2:
+                continue
+            sizes = np.bincount(codes).astype(float)
+            ones = np.bincount(codes, weights=ysub)
+            n_left = sizes
+            n_right = m - sizes
+            ok = (n_left >= minleaf) & (n_right >= minleaf)
+            if not ok.any():
+                continue
+            l1 = ones
+            r1 = node.ones - ones
+            child = n_left * T._impurity(
+                np.divide(l1, n_left, out=np.zeros_like(l1), where=n_left > 0), config.criterion
+            ) + n_right * T._impurity(
+                np.divide(r1, n_right, out=np.zeros_like(r1), where=n_right > 0), config.criterion
+            )
+            gains = np.where(ok, parent_imp - child, -np.inf)
+            j = int(np.argmax(gains))
+            if not np.isfinite(gains[j]):
+                continue
+            gain = float(gains[j]) / n_total
+            if best is None or gain > best[0] + T._GAIN_TOL:
+                best = (gain, T.SplitClause(name, "categorical", str(cats[j])), codes == j)
+    if best is None:
+        return None
+    gain, clause, left_mask = best
+    return (max(gain, 0.0), clause, left_mask)
+
+
+def reference_fit(data, config):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_best_split", reference_best_split)
+        return T.fit(data, config)
+
+
+# sorted order differs from first-appearance order, so a table in any other
+# order than np.unique's breaks "first category wins" ties
+CATEGORY_POOL = ["zeta", "b10", "alpha", "b9", "Mid", "mid", "a b", "_"]
+
+
+def random_mixed_dataset(rng):
+    """Mixed numeric/categorical table; some columns are duplicated or built so
+    that several categories, or several features, tie on gain."""
+    n = int(rng.integers(16, 121))
+    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
+    cols, kinds = {}, {}
+    for f in range(int(rng.integers(1, 6))):
+        name = f"f{f}"
+        shape = rng.random()
+        if shape < 0.3 and f:  # copy of an earlier column: ties across features
+            src = f"f{int(rng.integers(0, f))}"
+            cols[name], kinds[name] = cols[src], kinds[src]
+        elif shape < 0.5:  # numeric, with repeated values
+            cols[name] = rng.integers(0, int(rng.integers(2, 8)), n).astype(float)
+            kinds[name] = "numeric"
+        elif shape < 0.6:
+            cols[name] = np.round(rng.normal(0, 1, n), 1)
+            kinds[name] = "numeric"
+        elif shape < 0.8:  # categories tied in size and label count
+            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(2, 5)), replace=False)
+            cols[name] = np.array([cats[(i // 2) % len(cats)] for i in range(n)])
+            kinds[name] = "categorical"
+        else:
+            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(1, 7)), replace=False)
+            p = rng.dirichlet(np.ones(len(cats)))
+            cols[name] = rng.choice(cats, size=n, p=p)
+            kinds[name] = "categorical"
+    if rng.random() < 0.3:  # labels alternate with row parity: pairs split evenly
+        labels = np.arange(n) % 2
+    names = tuple(cols)
+    return Dataset(np.arange(n), names, kinds, {k: np.array(cols[k]) for k in names}, labels)
+
+
+def random_config(rng, n):
+    return T.LearnerConfig(
+        max_height=int(rng.integers(1, 7)),
+        minleaf_fraction=float(rng.uniform(1.0 / n, 0.2)),
+        max_leaves=None if rng.random() < 0.5 else int(rng.integers(1, 9)),
+        feature_subsample=str(rng.choice(["all", "sqrt", "log2"])),
+        criterion=str(rng.choice(["entropy", "gini"])),
+        seed=int(rng.integers(0, 2**31 - 1)),
+    )
+
+
+def assert_categorical_masks_match_strings(tree, data):
+    def walk(node):
+        if isinstance(node, T.Leaf):
+            return
+        clause = node.clause
+        if clause.kind == "categorical":
+            assert np.array_equal(clause.mask(data), data.columns[clause.feature] == clause.value)
+        walk(node.left)
+        walk(node.right)
+
+    walk(tree.root)
+
+
+def test_split_search_matches_string_reference():
+    rng = np.random.default_rng(20240611)
+    split_categorical = 0
+    for _ in range(300):
+        parent = random_mixed_dataset(rng)
+        config = random_config(rng, parent.n)
+        tree = T.fit(parent, config)
+        assert T.to_record(tree) == T.to_record(reference_fit(parent, config))
+        # a subset lacks some of the parent's categories; it is encoded on its
+        # own, after the parent's table was already built
+        sub = parent.take(np.sort(rng.choice(parent.n, size=parent.n // 2, replace=False)))
+        sub_config = random_config(rng, sub.n)
+        sub_tree = T.fit(sub, sub_config)
+        assert T.to_record(sub_tree) == T.to_record(reference_fit(sub, sub_config))
+        for fitted in (tree, sub_tree):
+            for data in (parent, sub):
+                assert_categorical_masks_match_strings(fitted, data)
+                rows = [{f: data.columns[f][i] for f in data.feature_names} for i in range(data.n)]
+                want = [T.predict(fitted, row) for row in rows]  # string equality per row
+                assert T.predict_dataset(fitted, data).tolist() == want
+        split_categorical += "'op': '='" in repr(T.to_record(tree))
+    assert split_categorical >= 50
