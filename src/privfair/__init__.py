@@ -28,8 +28,6 @@ from .tree import (  # noqa: F401
     RulePredicate,
     extract_rules,
     fit,
-    predict,
     prune_redundant,
     query_count_bounds,
-    to_binary,
 )

@@ -13,10 +13,6 @@ class MechanismError(ValueError):
     """Unknown or disallowed mechanism requested."""
 
 
-class UnsupportedCheckError(ValueError):
-    """Analytic privacy check requested for a mechanism it cannot cover."""
-
-
 class RoutingError(KeyError):
     """An instance lacks a feature the tree needs for routing."""
 

@@ -417,7 +417,7 @@ def run_experiment_2(
                     feature_subsample=config.exp2_feature_mode,
                     seed=_curator_seed(config.seed, 2, ml_i, eps_i, run, 0),
                 )
-                tree = prune_redundant(fit(binned_train, learner))
+                tree = fit(binned_train, learner)
                 record = {
                     "experiment": "experiment2", "mechanism": mechanism, "epsilon": epsilon,
                     "minleaf": minleaf, "run": run, "baseline": baseline,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MechanismError, ParameterError, UnsupportedCheckError
+from .errors import ParameterError
 
 LAPLACE = "laplace"
 EXPONENTIAL = "exponential"
@@ -25,35 +25,34 @@ EXACT = "exact"
 
 MECHANISMS = (LAPLACE, EXPONENTIAL, GAUSSIAN)
 
+# Global sensitivities of a histogram query: L1 is 1 for disjoint-cell
+# counts, L2 is 2 per the histogram treatment used here.
+L1_SENSITIVITY = 1.0
+L2_SENSITIVITY = 2.0
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget and query sensitivities for one query.
+    """Privacy budget for one query.
 
     epsilon is the per-query budget. delta stays 0 for pure DP and must be
     in (0, 1) for the Gaussian mechanism, which additionally requires
-    epsilon < 1. sensitivity_l1 is the L1 global sensitivity (1 for
-    disjoint-cell histogram counts), sensitivity_l2 the L2 one (2 per the
-    histogram treatment used here).
+    epsilon < 1.
     """
 
     epsilon: float
     delta: float = 0.0
-    sensitivity_l1: float = 1.0
-    sensitivity_l2: float = 2.0
 
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if not (0 <= self.delta < 1):
             raise ParameterError(f"delta must be in [0, 1), got {self.delta}")
-        if self.sensitivity_l1 <= 0 or self.sensitivity_l2 <= 0:
-            raise ParameterError("sensitivities must be positive")
 
 
 def laplace_noise_scale(params: PrivacyParams) -> float:
     """Scale of the Laplace noise: L1 sensitivity over epsilon."""
-    return params.sensitivity_l1 / params.epsilon
+    return L1_SENSITIVITY / params.epsilon
 
 
 def sample_laplace(scale: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -64,7 +63,7 @@ def sample_laplace(scale: float, rng: np.random.Generator, size: int) -> np.ndar
 
 
 def laplace_histogram(exact: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Each cell plus independent Laplace(0, sensitivity_l1/epsilon) noise.
+    """Each cell plus independent Laplace(0, L1_SENSITIVITY/epsilon) noise.
 
     Cells may come out negative or exceed the population; they are left
     as-is, validity is judged by the estimator.
@@ -114,7 +113,7 @@ def exponential_histogram(
 
 
 def gaussian_sigma(params: PrivacyParams) -> float:
-    """Noise standard deviation sqrt(2 ln(1.25/delta)) * sensitivity_l2 / epsilon.
+    """Noise standard deviation sqrt(2 ln(1.25/delta)) * L2_SENSITIVITY / epsilon.
 
     Requires 0 < epsilon < 1 and 0 < delta < 1; outside that range the
     Gaussian mechanism cannot satisfy the guarantee at all.
@@ -123,7 +122,7 @@ def gaussian_sigma(params: PrivacyParams) -> float:
         raise ParameterError(f"gaussian mechanism needs 0 < epsilon < 1, got {params.epsilon}")
     if not (0 < params.delta < 1):
         raise ParameterError(f"gaussian mechanism needs 0 < delta < 1, got {params.delta}")
-    return math.sqrt(2.0 * math.log(1.25 / params.delta)) * params.sensitivity_l2 / params.epsilon
+    return math.sqrt(2.0 * math.log(1.25 / params.delta)) * L2_SENSITIVITY / params.epsilon
 
 
 def gaussian_histogram(exact: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
@@ -135,44 +134,3 @@ def gaussian_histogram(exact: np.ndarray, params: PrivacyParams, rng: np.random.
 def exact_histogram_stub(exact: np.ndarray) -> np.ndarray:
     """Noiseless passthrough used as the oracle-equivalence stub."""
     return np.asarray(exact, dtype=float).copy()
-
-
-def dp_density_ratio_check(
-    mechanism: str,
-    params: PrivacyParams,
-    neighboring_counts: tuple[float, float],
-    domain_max: int | None = None,
-    noise_scale: float | None = None,
-    tol: float = 1e-9,
-) -> bool:
-    """Analytic check that the output densities of two neighboring answers
-    stay within a factor exp(epsilon).
-
-    Laplace: evaluates the density ratio on a grid plus the closed-form
-    supremum exp(|c - c'| / scale). Exponential: compares the full
-    probability tables over {0..domain_max}. Gaussian has no pure-DP bound
-    and is rejected.
-    """
-    c, c2 = neighboring_counts
-    bound = math.exp(params.epsilon) + tol
-    if mechanism == LAPLACE:
-        scale = laplace_noise_scale(params) if noise_scale is None else noise_scale
-        sup = math.exp(abs(c - c2) / scale)
-        lo, hi = min(c, c2) - 8 * scale, max(c, c2) + 8 * scale
-        xs = np.linspace(lo, hi, 2001)
-        ratio = np.exp((np.abs(xs - c2) - np.abs(xs - c)) / scale)
-        return bool(max(sup, float(ratio.max())) <= bound)
-    if mechanism == EXPONENTIAL:
-        if domain_max is None:
-            raise ParameterError("exponential check needs domain_max")
-        r = np.arange(domain_max + 1)
-
-        def table(center):
-            w = np.exp(-params.epsilon * np.abs(center - r) / 2.0)
-            return w / w.sum()
-
-        p, p2 = table(c), table(c2)
-        return bool(float((p / p2).max()) <= bound and float((p2 / p).max()) <= bound)
-    if mechanism == GAUSSIAN:
-        raise UnsupportedCheckError("gaussian mechanism has no pure-DP density-ratio bound")
-    raise MechanismError(f"unknown mechanism {mechanism!r}")

@@ -1,8 +1,7 @@
 """Exact (non-private) group fairness and evaluation metrics.
 
 These are the ground-truth counterparts of the private estimates: acceptance
-rates are computed directly from predictions and group labels. Binary-group
-metrics follow the convention that group 1 is the privileged group.
+rates are computed directly from predictions and group labels.
 """
 
 from __future__ import annotations
@@ -54,50 +53,6 @@ def sp_ratio_kary(preds: PredictionSet) -> float:
     if top == 0.0:
         raise MetricError("all acceptance rates are zero; ratio degenerate")
     return float(rates.min()) / top
-
-
-def sp_difference(preds: PredictionSet) -> float:
-    """Acceptance-rate difference, privileged (group 1) minus unprivileged."""
-    if preds.k != 2:
-        raise MetricError(f"sp_difference needs K=2, got K={preds.k}")
-    rates = acceptance_rates(preds)
-    return float(rates[1] - rates[0])
-
-
-def eighty_percent_rule(preds: PredictionSet) -> bool:
-    """True iff the privileged/unprivileged rate ratio lies in [0.8, 1.25]."""
-    if preds.k != 2:
-        raise MetricError(f"eighty_percent_rule needs K=2, got K={preds.k}")
-    rates = acceptance_rates(preds)
-    if rates[0] == 0.0 or rates[1] == 0.0:
-        raise MetricError("zero acceptance rate; 80%-rule ratio degenerate")
-    ratio = float(rates[1] / rates[0])
-    return 0.8 <= ratio <= 1.25
-
-
-def _conditional_rates(preds: PredictionSet, y: int) -> np.ndarray:
-    mask = preds.y_true == y
-    sizes = np.bincount(preds.groups[mask], minlength=preds.k).astype(float)
-    if (sizes == 0).any():
-        raise MetricError(f"empty (group, y={y}) cell; metric undefined")
-    fav = np.bincount(preds.groups[mask], weights=preds.y_pred[mask], minlength=preds.k)
-    return fav / sizes
-
-
-def equalized_odds(preds: PredictionSet) -> tuple[float, float]:
-    """Per-outcome gaps p(pred=1|y,A=1) - p(pred=1|y,A=0) for y = 0 and y = 1."""
-    if preds.k != 2:
-        raise MetricError(f"equalized_odds needs K=2, got K={preds.k}")
-    gaps = []
-    for y in (0, 1):
-        r = _conditional_rates(preds, y)
-        gaps.append(float(r[1] - r[0]))
-    return gaps[0], gaps[1]
-
-
-def equality_of_opportunity(preds: PredictionSet) -> float:
-    """The y=1 gap of equalized_odds."""
-    return equalized_odds(preds)[1]
 
 
 def aaspe(true_sps, est_sps) -> float:

@@ -31,13 +31,6 @@ class SplitClause:
     kind: str  # NUMERIC | CATEGORICAL
     value: float | str
 
-    def holds(self, instance) -> bool:
-        if self.feature not in instance:
-            raise RoutingError(self.feature)
-        if self.kind == NUMERIC:
-            return float(instance[self.feature]) < self.value
-        return instance[self.feature] == self.value
-
     def mask(self, data: Dataset, idx: np.ndarray | None = None) -> np.ndarray:
         if self.feature not in data.columns:
             raise RoutingError(self.feature)
@@ -58,9 +51,6 @@ class RuleClause:
     clause: SplitClause
     negated: bool = False
 
-    def holds(self, instance) -> bool:
-        return self.clause.holds(instance) != self.negated
-
     def mask(self, data: Dataset) -> np.ndarray:
         m = self.clause.mask(data)
         return ~m if self.negated else m
@@ -72,9 +62,6 @@ class RulePredicate:
 
     clauses: tuple[RuleClause, ...]
     decision: int
-
-    def matches(self, instance) -> bool:
-        return all(c.holds(instance) for c in self.clauses)
 
 
 def rule_mask(clauses, data: Dataset) -> np.ndarray:
@@ -124,18 +111,6 @@ class Branch:
     left: "Leaf | Branch"  # clause true
     right: "Leaf | Branch"  # clause false
     count: int
-
-
-@dataclass(frozen=True)
-class MultiwayBranch:
-    """k-way node: child i on the first clause that holds, last child otherwise."""
-
-    clauses: tuple[SplitClause, ...]
-    children: tuple
-
-    def __post_init__(self):
-        if len(self.children) != len(self.clauses) + 1:
-            raise ParameterError("multiway node needs len(clauses)+1 children")
 
 
 @dataclass(frozen=True)
@@ -320,8 +295,10 @@ def fit(data: Dataset, config: LearnerConfig) -> DecisionTree:
             break
         _, _, node = heapq.heappop(heap)
         gain, clause, left_mask = node.best
-        left = _BuildNode(node.idx[left_mask], node.depth + 1, int(y[node.idx[left_mask]].sum()))
-        right = _BuildNode(node.idx[~left_mask], node.depth + 1, int(y[node.idx[~left_mask]].sum()))
+        left_idx = node.idx[left_mask]
+        right_idx = node.idx[~left_mask]
+        left = _BuildNode(left_idx, node.depth + 1, int(y[left_idx].sum()))
+        right = _BuildNode(right_idx, node.depth + 1, int(y[right_idx].sum()))
         children[id(node)] = (clause, left, right)
         n_leaves += 1
         for child in (left, right):
@@ -339,14 +316,6 @@ def fit(data: Dataset, config: LearnerConfig) -> DecisionTree:
         return Leaf(1 if ones > m - ones else 0, m, (m - ones, ones))
 
     return DecisionTree(build(root), dict(data.feature_kinds), n)
-
-
-def predict(tree: DecisionTree, instance) -> int:
-    """Route one instance (a feature->value mapping) to its leaf class."""
-    node = tree.root
-    while isinstance(node, Branch):
-        node = node.left if node.clause.holds(instance) else node.right
-    return node.klass
 
 
 def predict_dataset(tree: DecisionTree, data: Dataset) -> np.ndarray:
@@ -411,53 +380,6 @@ def prune_redundant(tree: DecisionTree) -> DecisionTree:
     return DecisionTree(prune(tree.root), dict(tree.feature_kinds), tree.n_train)
 
 
-def multiway_predict(node, instance) -> int:
-    """Reference semantics for trees that still contain k-way nodes."""
-    while not isinstance(node, Leaf):
-        if isinstance(node, Branch):
-            node = node.left if node.clause.holds(instance) else node.right
-            continue
-        for clause, child in zip(node.clauses, node.children):
-            if clause.holds(instance):
-                node = child
-                break
-        else:
-            node = node.children[-1]
-    return node.klass
-
-
-def to_binary(root, feature_kinds: dict[str, str] | None = None, n_train: int = 0) -> DecisionTree:
-    """Convert k-way nodes into chains of binary clause/negation nodes.
-
-    A k-way split over clauses A, B, ... becomes A/not-A with the not-A
-    branch chained to B/not-B and so on; semantics are preserved. A tree
-    that is already binary comes back structurally identical.
-    """
-    if isinstance(root, DecisionTree):
-        return to_binary(root.root, dict(root.feature_kinds), root.n_train)
-
-    def leaf_total(node):
-        if isinstance(node, Leaf):
-            return node.count
-        if isinstance(node, Branch):
-            return leaf_total(node.left) + leaf_total(node.right)
-        return sum(leaf_total(c) for c in node.children)
-
-    def conv(node):
-        if isinstance(node, Leaf):
-            return node
-        if isinstance(node, Branch):
-            return Branch(node.clause, conv(node.left), conv(node.right), node.count)
-        tail = conv(node.children[-1])
-        for clause, child in zip(reversed(node.clauses), reversed(node.children[:-1])):
-            left = conv(child)
-            tail = Branch(clause, left, tail, leaf_total(left) + leaf_total(tail))
-        return tail
-
-    kinds = feature_kinds or {}
-    return DecisionTree(conv(root), dict(kinds), n_train or leaf_total(root))
-
-
 def query_count_bounds(height: int) -> tuple[int, int]:
     """Lower/upper bound on the number of histogram queries an audit needs."""
     if height < 1:
@@ -514,7 +436,7 @@ def load_tree(path) -> DecisionTree:
 
 
 def to_text(tree: DecisionTree) -> str:
-    """Human-readable one-node-per-line form; parses back via from_text."""
+    """Human-readable one-node-per-line form, for display."""
     lines = [f"tree n_train={tree.n_train} features={json.dumps(tree.feature_kinds, sort_keys=True)}"]
 
     def rec(node, depth):
@@ -533,45 +455,3 @@ def to_text(tree: DecisionTree) -> str:
 
     rec(tree.root, 0)
     return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> DecisionTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("tree "):
-        raise DataError("tree text must start with a 'tree' header line")
-    n_train = int(header.split("n_train=", 1)[1].split(" ", 1)[0])
-    kinds = json.loads(header.split("features=", 1)[1])
-
-    entries = []
-    for ln in lines[1:]:
-        depth = (len(ln) - len(ln.lstrip(" "))) // 2
-        entries.append((depth, ln.strip()))
-
-    pos = 0
-
-    def parse(depth):
-        nonlocal pos
-        d, body = entries[pos]
-        if d != depth:
-            raise DataError(f"bad indentation at node {pos}")
-        pos += 1
-        if body.startswith("leaf "):
-            parts = dict(p.split("=", 1) for p in body[len("leaf "):].split(" "))
-            c0, c1 = parts["counts"].split("/")
-            return Leaf(int(parts["class"]), int(parts["n"]), (int(c0), int(c1)))
-        head, count_part = body.rsplit(" n=", 1)
-        rest = head[len("split "):]
-        feature, op_and_value = rest.split(" ", 1)
-        op, value_text = op_and_value.split(" ", 1)
-        kind = NUMERIC if op == "<" else CATEGORICAL
-        value = json.loads(value_text)
-        clause = SplitClause(feature, kind, float(value) if kind == NUMERIC else str(value))
-        left = parse(depth + 1)
-        right = parse(depth + 1)
-        return Branch(clause, left, right, int(count_part))
-
-    root = parse(0)
-    if pos != len(entries):
-        raise DataError("trailing nodes after tree root parse")
-    return DecisionTree(root, kinds, n_train)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from privfair import mechanisms as mech
 from privfair.data import Dataset, SensitiveTable
+from privfair.tree import Leaf
 
 FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
 
@@ -38,3 +42,55 @@ def small_data():
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+def reference_predict(tree, instance):
+    """Route one feature->value mapping to its leaf class by plain comparison."""
+    node = tree.root
+    while not isinstance(node, Leaf):
+        c = node.clause
+        v = instance[c.feature]
+        holds = float(v) < c.value if c.kind == "numeric" else v == c.value
+        node = node.left if holds else node.right
+    return node.klass
+
+
+def dp_density_ratio_check(mechanism, params, neighboring_counts, domain_max=None,
+                           noise_scale=None, tol=1e-9):
+    """Analytic check that the output densities of two neighboring answers
+    stay within a factor exp(epsilon).
+
+    Laplace: evaluates the density ratio on a grid plus the closed-form
+    supremum exp(|c - c'| / scale). Exponential: compares the full
+    probability tables over {0..domain_max}.
+    """
+    c, c2 = neighboring_counts
+    bound = math.exp(params.epsilon) + tol
+    if mechanism == mech.LAPLACE:
+        scale = mech.laplace_noise_scale(params) if noise_scale is None else noise_scale
+        sup = math.exp(abs(c - c2) / scale)
+        lo, hi = min(c, c2) - 8 * scale, max(c, c2) + 8 * scale
+        xs = np.linspace(lo, hi, 2001)
+        ratio = np.exp((np.abs(xs - c2) - np.abs(xs - c)) / scale)
+        return bool(max(sup, float(ratio.max())) <= bound)
+    assert mechanism == mech.EXPONENTIAL, mechanism
+    r = np.arange(domain_max + 1)
+
+    def table(center):
+        w = np.exp(-params.epsilon * np.abs(center - r) / 2.0)
+        return w / w.sum()
+
+    p, p2 = table(c), table(c2)
+    return bool(float((p / p2).max()) <= bound and float((p2 / p).max()) <= bound)
+
+
+def equalized_odds(preds):
+    """Per-outcome gaps p(pred=1|y,A=1) - p(pred=1|y,A=0) for y = 0 and y = 1."""
+    gaps = []
+    for y in (0, 1):
+        mask = preds.y_true == y
+        sizes = np.bincount(preds.groups[mask], minlength=2).astype(float)
+        fav = np.bincount(preds.groups[mask], weights=preds.y_pred[mask], minlength=2)
+        rates = fav / sizes
+        gaps.append(float(rates[1] - rates[0]))
+    return gaps[0], gaps[1]

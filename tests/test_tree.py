@@ -7,7 +7,7 @@ from privfair import tree as T
 from privfair.data import Dataset
 from privfair.errors import DataError, ParameterError, RoutingError
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_predict
 
 
 def tiny_dataset(xs, labels, kinds=None):
@@ -22,19 +22,17 @@ def tiny_dataset(xs, labels, kinds=None):
 
 
 def random_instances(ds, n, seed):
+    """n random rows over ds's features: numeric values spread a little past
+    the column's range, categories drawn from those present."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for _ in range(n):
-        inst = {}
-        for name in ds.feature_names:
-            col = ds.columns[name]
-            if ds.feature_kinds[name] == "numeric":
-                lo, hi = float(col.min()), float(col.max())
-                inst[name] = rng.uniform(lo - 1, hi + 1)
-            else:
-                inst[name] = str(rng.choice(np.unique(col)))
-        out.append(inst)
-    return out
+    cols = {}
+    for name in ds.feature_names:
+        col = ds.columns[name]
+        if ds.feature_kinds[name] == "numeric":
+            cols[name] = rng.uniform(float(col.min()) - 1, float(col.max()) + 1, n)
+        else:
+            cols[name] = rng.choice(np.unique(col), n)
+    return Dataset(np.arange(n), ds.feature_names, dict(ds.feature_kinds), cols, np.zeros(n, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_fit_gain_strictly_positive_on_generic_data():
 def test_predict_single_leaf():
     ds = tiny_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [1, 1, 1, 1])
     tree = T.fit(ds, T.LearnerConfig(max_height=1, minleaf_fraction=0.3))
-    assert T.predict(tree, {"x": 123.0}) == 1
+    assert T.predict_dataset(tree, tiny_dataset({"x": [123.0]}, [0])).tolist() == [1]
 
 
 def test_predict_clause_semantics():
@@ -159,9 +157,8 @@ def test_predict_clause_semantics():
         20,
     )
     tree = T.DecisionTree(root, {"x": "numeric"}, 20)
-    assert T.predict(tree, {"x": 3.0}) == 1
-    assert T.predict(tree, {"x": 5.0}) == 0
-    assert T.predict(tree, {"x": 7.0}) == 0
+    probe = tiny_dataset({"x": [3.0, 5.0, 7.0]}, [0, 0, 0])
+    assert T.predict_dataset(tree, probe).tolist() == [1, 0, 0]
 
 
 def test_predict_missing_feature_errors():
@@ -170,17 +167,20 @@ def test_predict_missing_feature_errors():
     )
     tree = T.DecisionTree(root, {"x": "numeric"}, 2)
     with pytest.raises(RoutingError):
-        T.predict(tree, {"y": 1.0})
+        T.predict_dataset(tree, tiny_dataset({"y": [1.0]}, [0]))
 
 
 def test_predict_matches_exactly_one_rule():
     ds, _ = make_dataset(n=300, seed=5)
     tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.02))
     rules = T.extract_rules(tree)
-    for inst in random_instances(ds, 200, seed=7):
-        matching = [r for r in rules if r.matches(inst)]
-        assert len(matching) == 1
-        assert matching[0].decision == T.predict(tree, inst)
+    probe = random_instances(ds, 200, seed=7)
+    masks = [T.rule_mask(rule.clauses, probe) for rule in rules]
+    assert (np.sum(masks, axis=0) == 1).all()
+    want = np.zeros(probe.n, dtype=int)
+    for rule, mask in zip(rules, masks):
+        want[mask] = rule.decision
+    assert np.array_equal(T.predict_dataset(tree, probe), want)
 
 
 @pytest.mark.parametrize("value", ["0", "b0", "zz", "a ", ""])
@@ -211,7 +211,7 @@ def test_extract_rules_single_leaf_tautology():
     rules = T.extract_rules(tree)
     assert len(rules) == 1
     assert rules[0].clauses == ()
-    assert rules[0].matches({"x": -999})
+    assert T.rule_mask(rules[0].clauses, tiny_dataset({"x": [-999.0]}, [0])).all()
 
 
 def test_extract_rules_balanced_tree_counts():
@@ -300,9 +300,9 @@ def test_prune_prediction_equivalence_fuzz():
     for seed in range(12):
         ds, _ = make_dataset(n=200, seed=100 + seed)
         tree = T.fit(ds, T.LearnerConfig(max_height=5, minleaf_fraction=0.02, seed=seed))
-        pruned = T.prune_redundant(tree)
-        for inst in random_instances(ds, 80, seed=seed):
-            assert T.predict(tree, inst) == T.predict(pruned, inst)
+        probe = random_instances(ds, 80, seed=seed)
+        assert np.array_equal(T.predict_dataset(tree, probe),
+                              T.predict_dataset(T.prune_redundant(tree), probe))
 
 
 def test_prune_reaches_fixpoint_through_cascades():
@@ -324,44 +324,6 @@ def test_prune_never_increases_favorable_rules():
         before = len(T.favorable_rules(tree))
         after = len(T.favorable_rules(T.prune_redundant(tree)))
         assert after <= before
-
-
-# ---------------------------------------------------------------------------
-# to_binary
-
-def three_way_node():
-    return T.MultiwayBranch(
-        clauses=(
-            T.SplitClause("x", "numeric", 2.0),
-            T.SplitClause("x", "numeric", 5.0),
-        ),
-        children=(T.Leaf(1, 3, (0, 3)), T.Leaf(0, 4, (4, 0)), T.Leaf(1, 5, (0, 5))),
-    )
-
-
-def test_to_binary_three_way_becomes_two_binary_nodes():
-    tree = T.to_binary(three_way_node(), {"x": "numeric"})
-    def count_branches(node):
-        if isinstance(node, T.Leaf):
-            return 0
-        return 1 + count_branches(node.left) + count_branches(node.right)
-    assert count_branches(tree.root) == 2
-    assert tree.n_leaves == 3
-
-
-def test_to_binary_already_binary_identical():
-    ds, _ = make_dataset(n=150, seed=31)
-    tree = T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.05))
-    assert T.to_binary(tree) == tree
-
-
-def test_to_binary_semantics_preserved_fuzz():
-    multi = three_way_node()
-    tree = T.to_binary(multi, {"x": "numeric"})
-    rng = np.random.Generator(np.random.PCG64(3))
-    for _ in range(10_000):
-        inst = {"x": float(rng.uniform(-5, 10))}
-        assert T.multiway_predict(multi, inst) == T.predict(tree, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +364,20 @@ def test_record_roundtrip():
     assert T.from_record(T.to_record(tree)) == tree
 
 
-def test_text_roundtrip():
-    ds, _ = make_dataset(n=180, seed=43)
-    tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.03))
-    assert T.from_text(T.to_text(tree)) == tree
-
-
-def test_text_roundtrip_with_spaces_in_categories():
-    root = T.Branch(
-        T.SplitClause("race", "categorical", "Native American"),
-        T.Leaf(1, 2, (0, 2)),
-        T.Leaf(0, 3, (3, 0)),
-        5,
+def test_to_text_literal_with_spaces_in_categories():
+    inner = T.Branch(T.SplitClause("age", "numeric", 30.5), T.Leaf(0, 2, (2, 0)),
+                     T.Leaf(1, 1, (0, 1)), 3)
+    root = T.Branch(T.SplitClause("race", "categorical", "Native American"),
+                    T.Leaf(1, 2, (0, 2)), inner, 5)
+    tree = T.DecisionTree(root, {"race": "categorical", "age": "numeric"}, 5)
+    assert T.to_text(tree) == (
+        'tree n_train=5 features={"age": "numeric", "race": "categorical"}\n'
+        'split race = "Native American" n=5\n'
+        '  leaf class=1 n=2 counts=0/2\n'
+        '  split age < 30.5 n=3\n'
+        '    leaf class=0 n=2 counts=2/0\n'
+        '    leaf class=1 n=1 counts=0/1\n'
     )
-    tree = T.DecisionTree(root, {"race": "categorical"}, 5)
-    assert T.from_text(T.to_text(tree)) == tree
 
 
 def test_save_load_tree_file(tmp_path):
@@ -617,7 +578,7 @@ def test_split_search_matches_string_reference():
             for data in (parent, sub):
                 assert_categorical_masks_match_strings(fitted, data)
                 rows = [{f: data.columns[f][i] for f in data.feature_names} for i in range(data.n)]
-                want = [T.predict(fitted, row) for row in rows]  # string equality per row
+                want = [reference_predict(fitted, row) for row in rows]  # string equality per row
                 assert T.predict_dataset(fitted, data).tolist() == want
         split_categorical += "'op': '='" in repr(T.to_record(tree))
     assert split_categorical >= 50
