@@ -40,7 +40,7 @@ from .errors import (
 )
 from .estimator import InvalidPolicy, estimate_sp
 from .experiments import (
-    ExperimentConfig,
+    config_from_manifest,
     desk_scale_exp1,
     desk_scale_exp2,
     paper_scale_exp1,
@@ -194,7 +194,8 @@ def cmd_audit(args) -> int:
         raise ParameterError("audit uses --curator inproc or connect=ADDR")
     if mode == "inproc":
         curator = Curator(
-            test_ds, sens_table, total_epsilon=args.budget or args.epsilon,
+            test_ds, sens_table,
+            total_epsilon=args.epsilon if args.budget is None else args.budget,
             seed=args.seed, allow_exact=args.allow_exact_stub,
         )
         client = InProcessClient(curator)
@@ -271,20 +272,16 @@ def cmd_curator_serve(args) -> int:
 def cmd_experiment(args) -> int:
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        stored = manifest["config"]
-        config = ExperimentConfig(
-            epsilons=tuple(stored["epsilons"]),
-            runs=stored["runs"],
-            mechanisms=tuple(stored["mechanisms"]),
-            policy=InvalidPolicy(*stored["policy"]),
-            seed=stored["seed"],
-            minleafs=tuple(stored["minleafs"]),
-            exp2_max_height=stored["exp2_max_height"],
-            exp2_feature_mode=stored["exp2_feature_mode"],
-            delta=stored["delta"],
-        )
-        which = {"experiment1": "1", "experiment2": "2"}.get(manifest["experiment"], args.which)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ParameterError(f"manifest {args.manifest}: {exc}") from None
+        config = config_from_manifest(manifest)
+        # the manifest picks the experiment; --which 2.1 adds the heatmap to experiment 2
+        if manifest["experiment"] == "experiment1":
+            which = "1"
+        else:
+            which = "2.1" if args.which == "2.1" else "2"
     else:
         which = args.which
         if which == "1":
@@ -349,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="<negative-rule>,<too-large-rule>")
     p_audit.add_argument("--curator", default="inproc", help="inproc | connect=HOST:PORT")
     p_audit.add_argument("--budget", type=float, default=None,
-                         help="curator budget for inproc mode (default: epsilon)")
+                         help="positive curator budget for inproc mode (default: epsilon)")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--out", help="machine-readable report path")
     p_audit.add_argument("--allow-exact-stub", action="store_true",

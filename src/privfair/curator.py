@@ -347,8 +347,11 @@ def answer_to_frame(a: CuratorAnswer) -> dict:
 
 
 def frame_to_answer(frame: dict) -> CuratorAnswer:
-    counts = np.array([float(c) for c in frame["counts"]], dtype=float)
-    return CuratorAnswer(counts, int(frame["k"]), frame["mechanism"], frame["digest"])
+    try:
+        counts = np.array([float(c) for c in frame["counts"]], dtype=float)
+        return CuratorAnswer(counts, int(frame["k"]), frame["mechanism"], frame["digest"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"bad answer frame: {exc}") from None
 
 
 def refusal_frame(remaining: float, digest: str | None = None) -> dict:
@@ -451,8 +454,8 @@ class WireClient:
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
         request = batch_to_frame([_as_identity(q, self.identity) for q in queries])
-        answers = self._exchange(request, "answers")["answers"]
-        if len(answers) != len(request["queries"]):
+        answers = self._exchange(request, "answers").get("answers")
+        if not isinstance(answers, list) or len(answers) != len(request["queries"]):
             raise ProtocolError("the answers frame does not match the batch")
         return [frame_to_answer(a) for a in answers]
 
@@ -467,7 +470,11 @@ class WireClient:
         if frame["type"] == expected:
             return frame
         if frame["type"] == "refusal":
-            raise BudgetRefusal(float(frame["remaining_epsilon"]))
+            try:
+                remaining = float(frame["remaining_epsilon"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProtocolError(f"bad refusal frame: {exc}") from None
+            raise BudgetRefusal(remaining)
         if frame["type"] == "error":
             raise ProtocolError(frame.get("message", "curator error"))
         raise ProtocolError(f"unexpected frame type {frame['type']!r}")

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +220,26 @@ RECORD_FIELDS = (
     "baseline", "baseline_error", "failed",
 )
 
+# the audit fields of a run whose audit (or, in experiment 2, whose parity) failed
+_FAILED_RUN = {
+    "sp_est": math.nan, "abs_error": math.nan, "invalid_cells": 0, "total_cells": 0,
+    "invalid_ratio": math.nan, "query_count": 0, "failed": True,
+}
+
+
+def _successful(records, **keys) -> list[dict]:
+    """The records of one cell (matching every key) whose audit succeeded."""
+    return [r for r in records if all(r[k] == v for k, v in keys.items()) and not r["failed"]]
+
+
+def _cell_summary(ok: list[dict]) -> dict:
+    """n_runs, aaspe and mean_invalid_ratio of a cell's successful records."""
+    return {
+        "n_runs": len(ok),
+        "aaspe": float(np.mean([r["abs_error"] for r in ok])) if ok else math.nan,
+        "mean_invalid_ratio": float(np.mean([r["invalid_ratio"] for r in ok])) if ok else math.nan,
+    }
+
 
 @dataclass
 class ExperimentResult:
@@ -229,11 +249,7 @@ class ExperimentResult:
     manifest: dict
 
     def cell_records(self, **keys) -> list[dict]:
-        out = []
-        for r in self.records:
-            if all(r[k] == v for k, v in keys.items()) and not r["failed"]:
-                out.append(r)
-        return out
+        return _successful(self.records, **keys)
 
     def save(self, out_dir) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -243,22 +259,21 @@ class ExperimentResult:
             "aggregates": out_dir / f"{self.experiment}_aggregates.csv",
             "manifest": out_dir / f"{self.experiment}_manifest.json",
         }
-        with open(paths["records"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS, lineterminator="\n")
-            writer.writeheader()
-            for record in self.records:
-                writer.writerow({k: _csv_cell(record.get(k)) for k in RECORD_FIELDS})
+        _write_csv(paths["records"], RECORD_FIELDS, self.records)
         if self.aggregates:
-            agg_fields = list(self.aggregates[0])
-            with open(paths["aggregates"], "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=agg_fields, lineterminator="\n")
-                writer.writeheader()
-                for row in self.aggregates:
-                    writer.writerow({k: _csv_cell(row.get(k)) for k in agg_fields})
+            _write_csv(paths["aggregates"], list(self.aggregates[0]), self.aggregates)
         with open(paths["manifest"], "w", encoding="utf-8") as fh:
             json.dump(self.manifest, fh, sort_keys=True, indent=1)
             fh.write("\n")
         return paths
+
+
+def _write_csv(path: Path, fieldnames, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _csv_cell(row.get(k)) for k in fieldnames})
 
 
 def _csv_cell(value):
@@ -268,24 +283,31 @@ def _csv_cell(value):
 
 
 def _config_manifest(experiment: str, config: ExperimentConfig, extra: dict | None = None) -> dict:
-    manifest = {
-        "experiment": experiment,
-        "version": _version,
-        "config": {
-            "epsilons": list(config.epsilons),
-            "runs": config.runs,
-            "mechanisms": list(config.mechanisms),
-            "policy": [config.policy.negative_rule, config.policy.too_large_rule],
-            "seed": config.seed,
-            "minleafs": list(config.minleafs),
-            "exp2_max_height": config.exp2_max_height,
-            "exp2_feature_mode": config.exp2_feature_mode,
-            "delta": config.delta,
-        },
-    }
+    stored = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+    stored = {name: list(v) if isinstance(v, tuple) else v for name, v in stored.items()}
+    stored["policy"] = list(astuple(config.policy))
+    manifest = {"experiment": experiment, "version": _version, "config": stored}
     if extra:
         manifest.update(extra)
     return manifest
+
+
+def config_from_manifest(manifest) -> ExperimentConfig:
+    """The config of an experiment-1 or experiment-2 manifest; any other
+    manifest, or a config with a missing or unknown field, is a ParameterError."""
+    if not isinstance(manifest, dict) or manifest.get("experiment") not in ("experiment1", "experiment2"):
+        raise ParameterError("not an experiment-1 or experiment-2 manifest")
+    stored = manifest.get("config")
+    given = set(stored) if isinstance(stored, dict) else set()
+    names = {f.name for f in fields(ExperimentConfig)}
+    if given != names:
+        raise ParameterError(f"manifest config lacks {sorted(names - given)} "
+                             f"or has unknown {sorted(given - names)}")
+    values = {name: tuple(v) if isinstance(v, list) else v for name, v in stored.items()}
+    try:
+        return ExperimentConfig(**{**values, "policy": InvalidPolicy(*stored["policy"])})
+    except TypeError as exc:
+        raise ParameterError(f"bad manifest config: {exc}") from None
 
 
 def _curator_seed(master: int, *keys: int) -> int:
@@ -296,6 +318,21 @@ def _curator_seed(master: int, *keys: int) -> int:
 def _progress(message: str, enabled: bool):
     if enabled:
         print(message, file=sys.stderr)
+
+
+def _audit(tree, data, sensitive, epsilon, seed, mechanism, config, sp_true) -> dict:
+    """The audit fields of one record: `tree` audited by a fresh curator with budget epsilon."""
+    curator = Curator(data, sensitive, total_epsilon=epsilon, seed=seed,
+                      allow_exact=(mechanism == "exact"))
+    est = estimate_sp(
+        tree, InProcessClient(curator), epsilon, population=data.n,
+        mechanism=mechanism, policy=config.policy, delta=config.delta,
+    )
+    return {
+        "sp_est": est.sp, "abs_error": abs(sp_true - est.sp),
+        "invalid_cells": est.invalid_cells, "total_cells": est.total_cells,
+        "invalid_ratio": est.invalid_ratio, "query_count": est.query_count, "failed": False,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -324,50 +361,30 @@ def run_experiment_1(
             _progress(f"experiment1 {mechanism} eps={epsilon:g}", progress)
             for run in range(config.runs):
                 seed = _curator_seed(config.seed, 1, mech_i, eps_i, run)
-                curator = Curator(
-                    test, test_sensitive, total_epsilon=epsilon, seed=seed,
-                    allow_exact=(mechanism == "exact"),
-                )
                 record = {
                     "experiment": "experiment1", "mechanism": mechanism, "epsilon": epsilon,
                     "minleaf": math.nan, "run": run, "sp_true": sp_true,
                     "baseline": math.nan, "baseline_error": math.nan,
                 }
                 try:
-                    est = estimate_sp(
-                        tree, InProcessClient(curator), epsilon, population=test.n,
-                        mechanism=mechanism, policy=config.policy, delta=config.delta,
-                    )
-                    record.update(
-                        sp_est=est.sp, abs_error=abs(sp_true - est.sp),
-                        invalid_cells=est.invalid_cells, total_cells=est.total_cells,
-                        invalid_ratio=est.invalid_ratio, query_count=est.query_count,
-                        failed=False,
-                    )
+                    record.update(_audit(tree, test, test_sensitive, epsilon, seed, mechanism,
+                                         config, sp_true))
                 except DegenerateEstimateError:
-                    record.update(
-                        sp_est=math.nan, abs_error=math.nan, invalid_cells=0,
-                        total_cells=0, invalid_ratio=math.nan, query_count=0, failed=True,
-                    )
+                    record.update(_FAILED_RUN)
                 records.append(record)
 
     aggregates = []
-    for eps_i, epsilon in enumerate(config.epsilons):
-        by_mech = {}
+    for epsilon in config.epsilons:
+        errs = {}
         for mechanism in config.mechanisms:
-            errs = [r["abs_error"] for r in records
-                    if r["mechanism"] == mechanism and r["epsilon"] == epsilon and not r["failed"]]
-            inv = [r["invalid_ratio"] for r in records
-                   if r["mechanism"] == mechanism and r["epsilon"] == epsilon and not r["failed"]]
-            by_mech[mechanism] = errs
+            ok = _successful(records, mechanism=mechanism, epsilon=epsilon)
+            errs[mechanism] = [r["abs_error"] for r in ok]
             aggregates.append({
-                "epsilon": epsilon, "mechanism": mechanism, "n_runs": len(errs),
-                "aaspe": float(np.mean(errs)) if errs else math.nan,
-                "mean_invalid_ratio": float(np.mean(inv)) if inv else math.nan,
+                "epsilon": epsilon, "mechanism": mechanism, **_cell_summary(ok),
                 "t_stat": math.nan, "p_value": math.nan, "comparison": "",
             })
-        if LAPLACE in by_mech and EXPONENTIAL in by_mech:
-            a, b = by_mech[LAPLACE], by_mech[EXPONENTIAL]
+        if LAPLACE in errs and EXPONENTIAL in errs:
+            a, b = errs[LAPLACE], errs[EXPONENTIAL]
             if len(a) >= 2 and len(b) >= 2:
                 try:
                     t, p = welch_t_test(a, b, "two-sided")
@@ -428,47 +445,29 @@ def run_experiment_2(
                         binned_test.labels, y_pred, test_sensitive.groups, test_sensitive.k
                     )
                     sp_true = sp_ratio_kary(preds)  # all-unfavorable trees have no parity
-                    curator = Curator(
-                        binned_test, test_sensitive, total_epsilon=epsilon,
-                        seed=_curator_seed(config.seed, 2, ml_i, eps_i, run, 1),
-                        allow_exact=(mechanism == "exact"),
-                    )
-                    est = estimate_sp(
-                        tree, InProcessClient(curator), epsilon, population=binned_test.n,
-                        mechanism=mechanism, policy=config.policy, delta=config.delta,
-                    )
+                    seed = _curator_seed(config.seed, 2, ml_i, eps_i, run, 1)
                     record.update(
                         sp_true=sp_true, baseline_error=abs(sp_true - baseline),
-                        sp_est=est.sp, abs_error=abs(sp_true - est.sp),
-                        invalid_cells=est.invalid_cells, total_cells=est.total_cells,
-                        invalid_ratio=est.invalid_ratio, query_count=est.query_count,
-                        failed=False,
+                        **_audit(tree, binned_test, test_sensitive, epsilon, seed, mechanism,
+                                 config, sp_true),
                     )
                 except (MetricError, DegenerateEstimateError):
-                    record.update(
-                        sp_true=math.nan, baseline_error=math.nan, sp_est=math.nan,
-                        abs_error=math.nan, invalid_cells=0, total_cells=0,
-                        invalid_ratio=math.nan, query_count=0, failed=True,
-                    )
+                    record.update(sp_true=math.nan, baseline_error=math.nan, **_FAILED_RUN)
                 records.append(record)
 
     aggregates = []
     for minleaf in config.minleafs:
         for epsilon in config.epsilons:
-            ok = [r for r in records
-                  if r["minleaf"] == minleaf and r["epsilon"] == epsilon and not r["failed"]]
-            errs = [r["abs_error"] for r in ok]
-            base = [r["baseline_error"] for r in ok]
+            ok = _successful(records, minleaf=minleaf, epsilon=epsilon)
             t, p = math.nan, math.nan
-            if len(errs) >= 2:
+            if len(ok) >= 2:
                 try:
-                    t, p = welch_t_test(errs, base, "less")
+                    t, p = welch_t_test([r["abs_error"] for r in ok],
+                                        [r["baseline_error"] for r in ok], "less")
                 except MetricError:
                     pass
             aggregates.append({
-                "minleaf": minleaf, "epsilon": epsilon, "n_runs": len(errs),
-                "aaspe": float(np.mean(errs)) if errs else math.nan,
-                "mean_invalid_ratio": float(np.mean([r["invalid_ratio"] for r in ok])) if ok else math.nan,
+                "minleaf": minleaf, "epsilon": epsilon, **_cell_summary(ok),
                 "t_stat": t, "p_value": p, "comparison": "audit-less-than-baseline",
             })
     manifest = _config_manifest("experiment2", config, {"mechanism": mechanism})
@@ -492,8 +491,7 @@ def run_experiment_2_1(result: ExperimentResult) -> tuple[dict, list[str]]:
     notes: list[str] = []
     for minleaf in minleafs:
         for epsilon in epsilons:
-            ok = [r for r in result.records
-                  if r["minleaf"] == minleaf and r["epsilon"] == epsilon and not r["failed"]]
+            ok = result.cell_records(minleaf=minleaf, epsilon=epsilon)
             if len(ok) < 2:
                 notes.append(f"cell minleaf={minleaf:g} epsilon={epsilon:g} excluded (<2 runs)")
                 continue

@@ -167,6 +167,27 @@ def _impurity(p1: np.ndarray, criterion: str) -> np.ndarray:
     return out
 
 
+def _best_candidate(n_left, l1, ones, m, parent_imp, minleaf, criterion):
+    """(index, impurity decrease) of the best candidate that leaves minleaf rows
+    on each side, or None. Candidate i sends n_left[i] rows, l1[i] of them
+    positive, to the left of a node with m rows and `ones` positives."""
+    n_right = m - n_left
+    ok = (n_left >= minleaf) & (n_right >= minleaf)
+    if not ok.any():
+        return None
+    r1 = ones - l1
+    child = n_left * _impurity(
+        np.divide(l1, n_left, out=np.zeros_like(l1), where=n_left > 0), criterion
+    ) + n_right * _impurity(
+        np.divide(r1, n_right, out=np.zeros_like(r1), where=n_right > 0), criterion
+    )
+    gains = np.where(ok, parent_imp - child, -np.inf)
+    j = int(np.argmax(gains))
+    if not np.isfinite(gains[j]):
+        return None
+    return j, float(gains[j])
+
+
 class _BuildNode:
     __slots__ = ("idx", "depth", "ones", "best")
 
@@ -196,63 +217,33 @@ def _best_split(node, data, yf, minleaf, config, rng, n_total):
     best = None  # (gain, clause, left_local_mask)
     for fi in feat_ids:
         name = data.feature_names[fi]
-        if data.feature_kinds[name] == NUMERIC:
+        numeric = data.feature_kinds[name] == NUMERIC
+        if numeric:
             col = data.columns[name][node.idx]
             order = np.argsort(col, kind="stable")
             sv = col[order]
-            sy = ysub[order]
             cuts = np.flatnonzero(sv[:-1] != sv[1:])
             if cuts.size == 0:
                 continue
-            n_left = cuts + 1
-            n_right = m - n_left
-            ok = (n_left >= minleaf) & (n_right >= minleaf)
-            if not ok.any():
-                continue
-            cum1 = np.cumsum(sy)
-            l1 = cum1[cuts]
-            r1 = node.ones - l1
-            child = n_left * _impurity(l1 / n_left, config.criterion) + n_right * _impurity(
-                r1 / n_right, config.criterion
-            )
-            gains = np.where(ok, parent_imp - child, -np.inf)
-            j = int(np.argmax(gains))
-            if not np.isfinite(gains[j]):
-                continue
-            gain = float(gains[j]) / n_total
-            if best is None or gain > best[0] + _GAIN_TOL:
-                thr = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
-                clause = SplitClause(name, NUMERIC, thr)
-                best = (gain, clause, col < thr)
+            n_left, l1 = cuts + 1, np.cumsum(ysub[order])[cuts]
         else:
             cats, codes = data.codes(name)
             codes = codes[node.idx]
-            sizes = np.bincount(codes, minlength=len(cats)).astype(float)
-            if np.count_nonzero(sizes) < 2:
+            n_left = np.bincount(codes, minlength=len(cats)).astype(float)
+            if np.count_nonzero(n_left) < 2:
                 continue
-            ones = np.bincount(codes, weights=ysub, minlength=len(cats))
-            n_left = sizes
-            n_right = m - sizes
-            ok = (n_left >= minleaf) & (n_right >= minleaf)
-            if not ok.any():
-                continue
-            l1 = ones
-            r1 = node.ones - ones
-            child = n_left * _impurity(
-                np.divide(l1, n_left, out=np.zeros_like(l1), where=n_left > 0),
-                config.criterion,
-            ) + n_right * _impurity(
-                np.divide(r1, n_right, out=np.zeros_like(r1), where=n_right > 0),
-                config.criterion,
-            )
-            gains = np.where(ok, parent_imp - child, -np.inf)
-            j = int(np.argmax(gains))
-            if not np.isfinite(gains[j]):
-                continue
-            gain = float(gains[j]) / n_total
-            if best is None or gain > best[0] + _GAIN_TOL:
-                clause = SplitClause(name, CATEGORICAL, str(cats[j]))
-                best = (gain, clause, codes == j)
+            l1 = np.bincount(codes, weights=ysub, minlength=len(cats))
+        found = _best_candidate(n_left, l1, node.ones, m, parent_imp, minleaf, config.criterion)
+        if found is None:
+            continue
+        j, gain = found[0], found[1] / n_total
+        if best is not None and gain <= best[0] + _GAIN_TOL:
+            continue
+        if numeric:
+            thr = float((sv[cuts[j]] + sv[cuts[j] + 1]) / 2.0)
+            best = (gain, SplitClause(name, NUMERIC, thr), col < thr)
+        else:
+            best = (gain, SplitClause(name, CATEGORICAL, str(cats[j])), codes == j)
     if best is None:
         return None
     gain, clause, left_mask = best

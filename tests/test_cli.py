@@ -94,6 +94,12 @@ def test_audit_over_budget_exit_code(tree_file):
     assert code == cli.EXIT_BUDGET
 
 
+def test_audit_zero_budget_is_data_error(tree_file, capsys):
+    # a zero budget used to fall back to --epsilon and spend it
+    assert run_cli(audit_args(tree_file, ["--budget", "0"])) == cli.EXIT_DATA
+    assert "total_epsilon must be positive" in capsys.readouterr().err
+
+
 def test_audit_golden_report(tree_file, tmp_path):
     out = tmp_path / "report.json"
     code = run_cli(audit_args(tree_file, ["--out", str(out)]))
@@ -137,6 +143,43 @@ def test_audit_inproc_equals_wire(tree_file, tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _answers(request, **answer):
+    """An answers frame with one answer per batched query."""
+    return {"type": "answers", "answers": [
+        {"type": "answer", "k": 2, "mechanism": "laplace", "digest": "d", **answer}
+        for _ in request["queries"]
+    ]}
+
+
+@pytest.mark.parametrize("reply", [
+    lambda request: {"type": "refusal"},
+    lambda request: _answers(request),
+    lambda request: _answers(request, counts=["x", "1.0"]),
+    lambda request: {"type": "answers"},
+], ids=["refusal-without-remaining", "answer-without-counts", "non-numeric-count",
+        "answers-without-list"])
+def test_audit_malformed_curator_reply_is_protocol_error(tree_file, reply, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_one():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            request = json.loads(rfile.readline())
+            conn.sendall((json.dumps(reply(request)) + "\n").encode())
+
+    thread = threading.Thread(target=serve_one, daemon=True)
+    thread.start()
+    try:
+        port = listener.getsockname()[1]
+        code = run_cli(audit_args(tree_file, ["--curator", f"connect=127.0.0.1:{port}"]))
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert code == cli.EXIT_PROTOCOL
+    assert "protocol error" in capsys.readouterr().err
 
 
 def test_curator_serve_and_reconnect_budget_persists(tree_file, tmp_path):
@@ -199,6 +242,55 @@ def test_experiment_2_1_writes_heatmap(tmp_path):
     ])
     assert run_cli(args) == cli.EXIT_OK
     assert (out / "experiment2_1_heatmap.csv").exists()
+
+
+def small_exp2_manifest():
+    return {
+        "experiment": "experiment2", "version": "0", "mechanism": "laplace",
+        "config": {
+            "epsilons": [0.25, 0.5], "runs": 2, "mechanisms": ["laplace"],
+            "policy": ["uniform", "uniform"], "seed": 3, "minleafs": [0.05, 0.1],
+            "exp2_max_height": 4, "exp2_feature_mode": "sqrt", "delta": 0.0,
+        },
+    }
+
+
+def test_experiment_2_1_from_exp2_manifest_writes_heatmap(tmp_path):
+    manifest = tmp_path / "experiment2_manifest.json"
+    manifest.write_text(json.dumps(small_exp2_manifest()))
+    out = tmp_path / "rerun"
+    args = ["experiment"] + german_args([
+        "--which", "2.1", "--sensitive", "sex", "--manifest", str(manifest), "--out", str(out),
+    ])
+    assert run_cli(args) == cli.EXIT_OK
+    assert (out / "experiment2_1_heatmap.csv").exists()
+    stored = json.loads((out / "experiment2_manifest.json").read_text())
+    assert stored["config"] == small_exp2_manifest()["config"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: m["config"].pop("runs"),
+    lambda m: m["config"].update(bogus=1),
+    lambda m: m.update(experiment="experiment9"),
+    lambda m: m["config"].update(runs="many"),
+    lambda m: m["config"].update(policy="uniform"),
+], ids=["missing-key", "unknown-key", "unknown-experiment", "bad-runs", "bad-policy"])
+def test_experiment_malformed_manifest_is_data_error(tmp_path, corrupt):
+    manifest = small_exp2_manifest()
+    corrupt(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    args = ["experiment"] + german_args([
+        "--sensitive", "sex", "--manifest", str(path), "--out", str(tmp_path / "out"),
+    ])
+    assert run_cli(args) == cli.EXIT_DATA
+
+
+def test_experiment_manifest_not_json_is_data_error(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text("{not json")
+    args = ["experiment"] + german_args(["--sensitive", "sex", "--manifest", str(path)])
+    assert run_cli(args) == cli.EXIT_DATA
 
 
 def test_paper_scale_flag_in_help(capsys):

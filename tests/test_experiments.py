@@ -297,6 +297,11 @@ def test_scale_grids():
     assert X.EXP2_EPSILONS == (0.05, 0.1, 0.15, 0.2, 0.25)
 
 
+def test_config_manifest_round_trip():
+    config = exp2_config(policy=X.InvalidPolicy("zero", "total-minus-valid"), delta=1e-5)
+    assert X.config_from_manifest(X._config_manifest("experiment2", config)) == config
+
+
 def test_config_requires_two_runs():
     with pytest.raises(ParameterError):
         X.ExperimentConfig(epsilons=(0.1,), runs=1)
