@@ -284,10 +284,11 @@ def cmd_experiment(args) -> int:
             which = "2.1" if args.which == "2.1" else "2"
     else:
         which = args.which
+        seed = args.seed or 0
         if which == "1":
-            config = paper_scale_exp1(args.seed) if args.paper_scale else desk_scale_exp1(args.seed)
+            config = paper_scale_exp1(seed) if args.paper_scale else desk_scale_exp1(seed)
         else:
-            config = paper_scale_exp2(args.seed) if args.paper_scale else desk_scale_exp2(args.seed)
+            config = paper_scale_exp2(seed) if args.paper_scale else desk_scale_exp2(seed)
         if args.runs:
             config = dataclasses.replace(config, runs=args.runs)
 
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_exp)
     p_exp.add_argument("--which", choices=("1", "2", "2.1"), default="1")
     p_exp.add_argument("--sensitive", required=True)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p_exp.add_argument("--runs", type=int, default=None, help="override runs per cell")
     p_exp.add_argument("--paper-scale", action="store_true",
                        help="full grids and 50 runs per cell instead of desk scale")
@@ -378,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "manifest", None) and (
+            args.runs is not None or args.seed is not None or args.paper_scale):
+        parser.error("--manifest fixes runs, seed and scale; drop --runs, --seed, --paper-scale")
     try:
         return args.func(args)
     except BudgetRefusal as exc:

@@ -4,14 +4,15 @@ The curator holds a private copy of the feature data plus the encoded
 sensitive groups. Every public answer passes through a DP mechanism; exact
 histograms never leave the process (the noiseless stub exists for tests and
 must be enabled explicitly). A per-identity ledger enforces sequential
-composition, with parallel batches of disjoint predicates charged once at
-their maximum epsilon. Disjointness is verified on the curator's own data:
-a batch query whose predicate overlaps an earlier one in the same batch is
-refused.
+composition, with parallel batches charged once at their maximum epsilon.
+Their disjointness is declared by the predicates, never tested on the rows:
+each member holds the negation of a clause of every earlier member, as any
+two root-to-leaf paths of a tree do.
 
 Queries arrive as a request of one or more, answered all or nothing: every
-query is validated, checked for disjointness and charged before any noise is
-drawn, so a refused or malformed request spends no budget and no randomness.
+query is validated and the request admitted and charged before any row is
+read or noise drawn. So a refused or malformed request spends no budget and
+no randomness, and a refusal depends only on the request and the ledger.
 An audit is one such request (the tautology query plus every rule query).
 Masks reuse the clause prefix shared with the previous query of the request,
 so tree rules in depth-first order evaluate each shared prefix once.
@@ -45,6 +46,8 @@ from .tree import RuleClause, SplitClause, prefix_masks
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
 MAX_FRAME_BYTES = 1 << 20  # one request line, newline included; 512 rules of depth 10 fit
+IDLE_TIMEOUT_S = 300.0  # a server connection that sends nothing for this long is closed
+_NUMBERS = (int, float, np.number)  # the value types a numeric clause compares against
 
 
 @dataclass(frozen=True)
@@ -65,33 +68,46 @@ class BudgetLedger:
         self.total_epsilon = float(total_epsilon)
         self.spent = 0.0
         self.entries: list[LedgerEntry] = []
-        self._batch_charged: dict[str, float] = {}
+        # batch_id -> (charged epsilon, members, {literal: bitmask of the members holding it})
+        self._batches: dict[str, tuple[float, int, dict]] = {}
 
     @property
     def remaining(self) -> float:
         return max(0.0, self.total_epsilon - self.spent)
 
-    def charge_all(self, charges) -> None:
-        """Admit and record every (digest, epsilon, composition, batch_id) charge
-        in order, or refuse them all leaving the ledger untouched."""
+    def charge_all(self, queries, digests) -> None:
+        """Admit and record every query under its digest in order, or refuse
+        them all leaving the ledger untouched. A parallel query needs a batch
+        id and must hold the negation of a clause of every member already in
+        its batch: a clause and its negation split every row, NaN cells and
+        absent categories included, so no row is read to admit it."""
         spent = self.spent
-        batch_charged: dict[str, float] = {}
+        batches: dict[str, tuple[float, int, dict]] = {}
         entries = []
-        for digest, epsilon, composition, batch_id in charges:
-            if composition == PARALLEL:
-                prior = batch_charged.get(batch_id, self._batch_charged.get(batch_id, 0.0))
-                increment = max(0.0, epsilon - prior)
-                batch_charged[batch_id] = max(prior, epsilon)
-                label = f"parallel:{batch_id}"
-            else:
-                increment = epsilon
-                label = SEQUENTIAL
+        for q, digest in zip(queries, digests):
+            increment, label = q.epsilon, SEQUENTIAL
+            if q.composition == PARALLEL:
+                if q.batch_id not in batches:
+                    charged, members, held = self._batches.get(q.batch_id, (0.0, 0, {}))
+                    batches[q.batch_id] = (charged, members, dict(held))
+                charged, members, held = batches[q.batch_id]
+                literals = [(rc.clause.feature, rc.clause.kind, rc.clause.value, rc.negated)
+                            for rc in q.clauses]
+                apart = 0  # the members that q holds the negation of a clause of
+                for feature, kind, value, negated in literals:
+                    apart |= held.get((feature, kind, value, not negated), 0)
+                if not q.batch_id or apart != (1 << members) - 1:
+                    raise BudgetRefusal(self.remaining)
+                for literal in literals:
+                    held[literal] = held.get(literal, 0) | 1 << members
+                batches[q.batch_id] = (max(charged, q.epsilon), members + 1, held)
+                increment, label = max(0.0, q.epsilon - charged), f"parallel:{q.batch_id}"
             if spent + increment > self.total_epsilon + 1e-9:
                 raise BudgetRefusal(self.remaining)
             spent += increment
-            entries.append(LedgerEntry(digest, epsilon, increment, time.time(), label))
+            entries.append(LedgerEntry(digest, q.epsilon, increment, time.time(), label))
         self.spent = spent
-        self._batch_charged.update(batch_charged)
+        self._batches.update(batches)
         self.entries.extend(entries)
 
     def replay(self) -> float:
@@ -154,7 +170,6 @@ class Curator:
         self._ledgers: dict[str, BudgetLedger] = {}
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
         self._allow_exact = allow_exact
-        self._batch_masks: dict[tuple[str, str], np.ndarray] = {}
         self._lock = threading.Lock()
 
     def ledger(self, identity: str = "default") -> BudgetLedger:
@@ -167,13 +182,10 @@ class Curator:
         return self.answer_batch([query])[0]
 
     def answer_batch(self, queries) -> list[CuratorAnswer]:
-        """Atomic validate-check-charge-sample over the whole batch.
-
-        Every query is validated, then checked for batch disjointness, then
-        the batch is charged in one admission; noise is drawn query by query
-        in batch order only after that. A refusal or an invalid query anywhere
-        in the batch charges nothing and consumes no randomness.
-        """
+        """Atomic validate-charge-sample over the whole batch: the ledger admits
+        it from the clauses alone, and only then are masks built and noise
+        drawn, in batch order. A refusal or an invalid query anywhere charges
+        nothing, reads no row and consumes no randomness."""
         queries = list(queries)
         with self._lock:
             # validate before the ledger is touched: an invalid query costs nothing
@@ -182,26 +194,9 @@ class Curator:
                 raise ProtocolError("a batch must come from a single identity")
             if not queries:
                 return []
-            masks = prefix_masks([q.clauses for q in queries], self._data)
-            ledger = self.ledger(queries[0].identity)
-            batch_masks: dict[tuple[str, str], np.ndarray] = {}
-            for q, mask in zip(queries, masks):
-                if q.composition != PARALLEL:
-                    continue
-                if not q.batch_id:
-                    # missing disjointness assertion
-                    raise BudgetRefusal(ledger.remaining)
-                key = (q.identity, q.batch_id)
-                seen = batch_masks.get(key, self._batch_masks.get(key))
-                if seen is not None and bool((seen & mask).any()):
-                    # batch predicates must be disjoint on the curator's data
-                    raise BudgetRefusal(ledger.remaining)
-                batch_masks[key] = mask if seen is None else (seen | mask)
-
             digests = [q.digest() for q in queries]
-            ledger.charge_all((d, q.epsilon, q.composition, q.batch_id)
-                              for d, q in zip(digests, queries))
-            self._batch_masks.update(batch_masks)
+            self.ledger(queries[0].identity).charge_all(queries, digests)
+            masks = prefix_masks([q.clauses for q in queries], self._data)
             return [self._sample(q, p, mask, d)
                     for q, p, mask, d in zip(queries, params, masks, digests)]
 
@@ -216,10 +211,12 @@ class Curator:
             feature = rc.clause.feature
             if feature not in self._data.columns:
                 raise RoutingError(feature)
-            # a numeric test on a categorical column would raise inside the mask
+            # refuse now a clause that the ledger could not hash or the mask could not compare
             kind = self._data.feature_kinds.get(feature)
             if kind is not None and kind != rc.clause.kind:
                 raise DataError(f"feature {feature!r} is {kind}, not {rc.clause.kind}")
+            if not isinstance(rc.clause.value, _NUMBERS if rc.clause.kind == NUMERIC else str):
+                raise DataError(f"bad value type {type(rc.clause.value).__name__} on {feature!r}")
         if query.composition not in (SEQUENTIAL, PARALLEL):
             raise ProtocolError(f"unknown composition class {query.composition!r}")
         return params
@@ -232,8 +229,7 @@ class Curator:
         elif query.mechanism == mech.GAUSSIAN:
             counts = mech.gaussian_histogram(exact, params, self._rng)
         elif query.mechanism == mech.EXPONENTIAL:
-            # candidate answers range from zero to the number of
-            # individuals the rule applies to
+            # candidate answers range from zero to the rule's population
             counts = mech.exponential_histogram(exact, int(mask.sum()), params, self._rng)
         else:
             counts = mech.exact_histogram_stub(exact)
@@ -315,8 +311,7 @@ def frame_to_query(frame: dict) -> CuratorQuery:
         epsilon=epsilon,
         mechanism=mechanism,
         delta=delta,
-        # any batch_id key, even null or "", asserts parallel composition; the
-        # curator refuses a parallel query without an id, as it does in process
+        # any batch_id key marks the query parallel; the ledger refuses a null or "" id
         composition=PARALLEL if "batch_id" in frame else SEQUENTIAL,
         batch_id=batch_id,
         identity=identity,
@@ -354,11 +349,8 @@ def frame_to_answer(frame: dict) -> CuratorAnswer:
         raise ProtocolError(f"bad answer frame: {exc}") from None
 
 
-def refusal_frame(remaining: float, digest: str | None = None) -> dict:
-    frame = {"type": "refusal", "remaining_epsilon": repr(float(remaining))}
-    if digest is not None:
-        frame["digest"] = digest
-    return frame
+def refusal_frame(remaining: float) -> dict:
+    return {"type": "refusal", "remaining_epsilon": repr(float(remaining))}
 
 
 def error_frame(message: str) -> dict:
@@ -403,21 +395,26 @@ def _as_identity(query: CuratorQuery, identity: str) -> CuratorQuery:
 
 
 class _CuratorHandler(socketserver.StreamRequestHandler):
+    timeout = IDLE_TIMEOUT_S
+
     def handle(self):
-        while True:
-            line = self.rfile.readline(MAX_FRAME_BYTES + 1)
-            if not line:
-                return
-            if len(line) > MAX_FRAME_BYTES:
-                # the rest of the line is never read; the connection closes
-                self.wfile.write(encode_frame(error_frame(
-                    f"frame longer than {MAX_FRAME_BYTES} bytes")))
-                return
-            if not line.strip():
-                continue
-            reply = process_frame(self.server.curator, line)
-            self.wfile.write(encode_frame(reply))
-            self.wfile.flush()
+        try:
+            while True:
+                line = self.rfile.readline(MAX_FRAME_BYTES + 1)
+                if not line:
+                    return
+                if len(line) > MAX_FRAME_BYTES:
+                    # the rest of the line is never read; the connection closes
+                    self.wfile.write(encode_frame(error_frame(
+                        f"frame longer than {MAX_FRAME_BYTES} bytes")))
+                    return
+                if not line.strip():
+                    continue
+                reply = process_frame(self.server.curator, line)
+                self.wfile.write(encode_frame(reply))
+                self.wfile.flush()
+        except TimeoutError:
+            return  # idle for `timeout` seconds; returning closes the connection
 
 
 class CuratorServer(socketserver.ThreadingTCPServer):

@@ -293,6 +293,24 @@ def test_experiment_manifest_not_json_is_data_error(tmp_path):
     assert run_cli(args) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("flags", [["--runs", "5"], ["--seed", "9"], ["--seed", "0"],
+                                   ["--paper-scale"]],
+                         ids=["runs", "seed", "seed-zero", "paper-scale"])
+def test_experiment_manifest_with_run_flags_is_a_usage_error(tmp_path, capsys, flags):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(small_exp2_manifest()))
+    out = tmp_path / "out"
+    args = ["experiment"] + german_args([
+        "--sensitive", "sex", "--manifest", str(path), "--out", str(out), *flags,
+    ])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flags[0] in err
+    assert not out.exists()
+
+
 def test_paper_scale_flag_in_help(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "--help"])

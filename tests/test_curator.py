@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from privfair import curator as C
 from privfair.data import Dataset, SensitiveTable
-from privfair.errors import BudgetRefusal, MechanismError, ParameterError, ProtocolError
-from privfair.tree import RuleClause, SplitClause
+from privfair.errors import (BudgetRefusal, DataError, MechanismError, ParameterError,
+                             ProtocolError)
+from privfair.tree import RuleClause, SplitClause, rule_mask
 
 from conftest import FIXTURES
 
@@ -89,12 +90,19 @@ def test_budget_two_halves_then_refusal():
     assert ledger.replay() == ledger.spent
 
 
+def split_leaves(lo, hi, depth):
+    """Root-to-leaf clause paths of a balanced tree that halves [lo, hi) on x."""
+    if depth == 0:
+        return [()]
+    mid = (lo + hi) / 2
+    return ([(lt("x", mid),) + path for path in split_leaves(lo, mid, depth - 1)]
+            + [(lt("x", mid, True),) + path for path in split_leaves(mid, hi, depth - 1)])
+
+
 def test_parallel_batch_of_eight_single_charge():
-    # eight disjoint rule predicates in one batch cost one 0.5 charge
+    # the eight leaves of a depth-3 split on x, in one batch, cost one 0.5 charge
     cur = fixed_curator(total_epsilon=1.0, seed=2)
-    bounds = [0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        clauses = (lt("x", lo, negated=True), lt("x", hi))
+    for clauses in split_leaves(0.0, 20.0, 3):
         cur.answer(C.CuratorQuery(clauses, 0.5, "laplace",
                                   composition=C.PARALLEL, batch_id="b1"))
     assert cur.ledger().spent == pytest.approx(0.5)
@@ -114,6 +122,73 @@ def test_parallel_overlapping_predicates_refused():
     with pytest.raises(BudgetRefusal):
         cur.answer(C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace",
                                   composition=C.PARALLEL, batch_id="b2"))
+
+
+def neighbour_curator(rows):
+    x = np.array([r[0] for r in rows], dtype=float)
+    c = np.array([r[1] for r in rows])
+    ds = Dataset(np.arange(len(rows)), ("x", "c"), {"x": "numeric", "c": "categorical"},
+                 {"x": x, "c": c}, np.zeros(len(rows), dtype=int))
+    table = SensitiveTable(np.arange(len(rows)), "g", np.arange(len(rows)) % 2, ("g0", "g1"))
+    return C.Curator(ds, table, total_epsilon=1.0, seed=5)
+
+
+@pytest.mark.parametrize("rows", [
+    [(7, "a"), (2, "b"), (9, "a"), (1, "b")],
+    [(7, "a"), (2, "b"), (9, "a"), (1, "b"), (1, "a")],
+], ids=["disjoint-on-these-rows", "neighbour-with-an-overlap"])
+def test_parallel_disjointness_is_decided_without_the_rows(rows):
+    # x < 5 and c = a share no row on the first table, but one added row falls
+    # under both; answering one neighbour and refusing the other would leak
+    cur = neighbour_curator(rows)
+    with pytest.raises(BudgetRefusal):
+        cur.answer_batch([C.CuratorQuery(clauses, 0.5, "laplace", composition=C.PARALLEL,
+                                         batch_id="b") for clauses in [(lt("x", 5.0),),
+                                                                       (eq("c", "a"),)]])
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+def test_refused_parallel_batch_reads_no_row(monkeypatch):
+    def no_rows(conjunctions, data):
+        raise AssertionError("a row was read")
+
+    monkeypatch.setattr(C, "prefix_masks", no_rows)
+    cur = fixed_curator(seed=3)
+    with pytest.raises(BudgetRefusal):
+        cur.answer_batch([C.CuratorQuery((lt("x", 8.0),), 0.5, "laplace", composition=C.PARALLEL,
+                                         batch_id="b"),
+                          C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace", composition=C.PARALLEL,
+                                         batch_id="b")])
+    assert cur.ledger().entries == []
+
+
+literals = st.sampled_from(
+    [lt("x", v, neg) for v in (0.0, 1.0, 2.0) for neg in (False, True)]
+    + [eq("c", v, neg) for v in ("a", "b", "zz") for neg in (False, True)]
+)
+conjunctions = st.lists(literals, min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=conjunctions, b=conjunctions,
+       x=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.nan]), min_size=1,
+                  max_size=12),
+       data=st.data())
+def test_admitted_batch_members_are_disjoint_on_any_table(a, b, x, data):
+    if data.draw(st.booleans()):  # often declare b disjoint from a
+        declared = data.draw(st.sampled_from(a))
+        b += (RuleClause(declared.clause, not declared.negated),)
+    c = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=len(x), max_size=len(x)))
+    ds = Dataset(np.arange(len(x)), ("x", "c"), {"x": "numeric", "c": "categorical"},
+                 {"x": np.array(x), "c": np.array(c)}, np.zeros(len(x), dtype=int))
+    queries = [C.CuratorQuery(clauses, 0.5, "laplace", composition=C.PARALLEL, batch_id="b")
+               for clauses in (a, b)]
+    try:
+        C.BudgetLedger(1.0).charge_all(queries, ["a", "b"])
+    except BudgetRefusal:
+        return
+    assert not (rule_mask(a, ds) & rule_mask(b, ds)).any()
 
 
 def test_exponential_answers_within_range():
@@ -222,9 +297,13 @@ def test_answer_batch_matches_one_by_one(seed):
         (C.CuratorQuery((), 0.25, "laplace", composition=C.PARALLEL), BudgetRefusal),
         (C.CuratorQuery((), 0.6, "laplace"), BudgetRefusal),
         (C.CuratorQuery((), 0.25, "laplace", identity="other"), ProtocolError),
+        (C.CuratorQuery((lt("x", "3"),), 0.25, "laplace"), DataError),
+        (C.CuratorQuery((eq("c", ["a"]),), 0.25, "laplace", composition=C.PARALLEL,
+                        batch_id="b"), DataError),
     ],
     ids=["unknown-feature", "gated-mechanism", "gaussian-limit", "overlapping",
-         "missing-batch-id", "over-budget", "mixed-identity"],
+         "missing-batch-id", "over-budget", "mixed-identity", "non-numeric-threshold",
+         "unhashable-category"],
 )
 def test_batch_with_a_bad_last_query_charges_nothing_and_draws_no_noise(last, error):
     cur = fixed_curator(total_epsilon=1.0, seed=43)
@@ -592,7 +671,8 @@ def test_serve_concurrent_clients_ledger_consistent():
 
 def test_parallel_batch_charges_the_maximum_epsilon():
     cur = fixed_curator(total_epsilon=1.0, seed=41)
-    parts = [(lt("x", 5.0),), (lt("x", 5.0, True), lt("x", 10.0)), (lt("x", 10.0, True),)]
+    parts = [(lt("x", 5.0),), (lt("x", 5.0, True), lt("x", 10.0)),
+             (lt("x", 5.0, True), lt("x", 10.0, True))]
     for clauses, eps in zip(parts, (0.2, 0.5, 0.3)):
         cur.answer(C.CuratorQuery(clauses, eps, "laplace",
                                   composition=C.PARALLEL, batch_id="bmax"))
@@ -663,3 +743,19 @@ def test_frame_over_the_cap_gets_an_error_and_the_connection_closes():
         server.server_close()
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
+
+
+def test_idle_connection_is_closed_and_the_server_keeps_serving(monkeypatch):
+    monkeypatch.setattr(C._CuratorHandler, "timeout", 0.2)
+    server = serving(fixed_curator(seed=83))
+    errors = []  # handle_error prints a traceback for an exception out of handle
+    monkeypatch.setattr(server, "handle_error", lambda request, address: errors.append(address))
+    try:
+        with socket.create_connection(server.address, timeout=30) as idle:
+            assert idle.makefile("rb").readline() == b""  # EOF once the idle timeout passes
+        with C.WireClient(*server.address) as client:
+            assert client.ask(C.CuratorQuery((), 0.5, "laplace")).k == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert errors == []
