@@ -3,7 +3,7 @@
 Subcommands: fit (train and store a tree), audit (estimate statistical
 parity through a curator), experiment (run the comparison grids),
 curator-serve (host the wire protocol). Exit codes: 0 ok, 2 usage, 3 data
-error, 4 budget refusal, 5 protocol error.
+error, 4 curator refusal (its reason is printed), 5 protocol error.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetRefusal as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
+        print(f"refused ({exc.reason}): {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ProtocolError, ConnectionError) as exc:
         print(f"protocol error: {exc}", file=sys.stderr)

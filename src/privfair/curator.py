@@ -22,7 +22,9 @@ sorted keys, at most MAX_FRAME_BYTES each. epsilon/delta and answer counts
 travel as decimal strings to avoid float round-trip drift. Clause ops ">="
 and "!=" are accepted and canonicalized to negated "<" / "=". A "batch" frame
 carries a list of query frames and is answered by one "answers" frame, or by
-one refusal or error frame for the whole batch.
+one refusal or error frame for the whole batch. A refusal frame carries the
+remaining budget and, unless the budget itself refused, a "reason" key
+("not-disjoint" or "missing-batch-id").
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Dataset, SensitiveTable
-from .errors import (BudgetRefusal, DataError, MechanismError, ParameterError, ProtocolError,
-                     RoutingError)
+from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
+                     ProtocolError, RoutingError)
 from . import mechanisms as mech
 from .tree import RuleClause, SplitClause, prefix_masks
 
@@ -96,8 +98,10 @@ class BudgetLedger:
                 apart = 0  # the members that q holds the negation of a clause of
                 for feature, kind, value, negated in literals:
                     apart |= held.get((feature, kind, value, not negated), 0)
-                if not q.batch_id or apart != (1 << members) - 1:
-                    raise BudgetRefusal(self.remaining)
+                if not q.batch_id:
+                    raise BudgetRefusal(self.remaining, "missing-batch-id")
+                if apart != (1 << members) - 1:
+                    raise BudgetRefusal(self.remaining, "not-disjoint")
                 for literal in literals:
                     held[literal] = held.get(literal, 0) | 1 << members
                 batches[q.batch_id] = (max(charged, q.epsilon), members + 1, held)
@@ -349,8 +353,12 @@ def frame_to_answer(frame: dict) -> CuratorAnswer:
         raise ProtocolError(f"bad answer frame: {exc}") from None
 
 
-def refusal_frame(remaining: float) -> dict:
-    return {"type": "refusal", "remaining_epsilon": repr(float(remaining))}
+def refusal_frame(remaining: float, reason: str = "budget") -> dict:
+    # no reason key on a budget refusal: clients that predate reasons read that frame
+    frame = {"type": "refusal", "remaining_epsilon": repr(float(remaining))}
+    if reason != "budget":
+        frame["reason"] = reason
+    return frame
 
 
 def error_frame(message: str) -> dict:
@@ -368,7 +376,7 @@ def process_frame(curator: Curator, frame_line: bytes) -> dict:
             return {"type": "answers", "answers": [answer_to_frame(a) for a in answers]}
         raise ProtocolError(f"unexpected frame type {frame['type']!r}")
     except BudgetRefusal as exc:
-        return refusal_frame(exc.remaining_epsilon)
+        return refusal_frame(exc.remaining_epsilon, exc.reason)
     except (ProtocolError, MechanismError, ParameterError, DataError, KeyError) as exc:
         return error_frame(str(exc))
 
@@ -471,7 +479,10 @@ class WireClient:
                 remaining = float(frame["remaining_epsilon"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"bad refusal frame: {exc}") from None
-            raise BudgetRefusal(remaining)
+            reason = frame.get("reason", "budget")
+            if not isinstance(reason, str) or reason not in REFUSAL_REASONS:
+                raise ProtocolError(f"bad refusal frame: unknown reason {reason!r}")
+            raise BudgetRefusal(remaining, reason)
         if frame["type"] == "error":
             raise ProtocolError(frame.get("message", "curator error"))
         raise ProtocolError(f"unexpected frame type {frame['type']!r}")

@@ -63,7 +63,9 @@ class Dataset:
         """Sorted category table and int codes of a column, encoded on first use.
 
         The table is in np.unique order, so code order is category order;
-        both arrays are read-only and kept for the life of the table.
+        both arrays are read-only and kept for the life of the table. A table
+        made by `take` shares its parent's category table when the parent was
+        encoded first, so the table may list categories absent from its rows.
         """
         hit = self._codes.get(name)
         if hit is None:  # setdefault: threads that race here all get the first stored pair
@@ -75,13 +77,18 @@ class Dataset:
         return tuple(f for f in self.feature_names if self.feature_kinds[f] == NUMERIC)
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
+        """The rows at idx; the codes this table already built are forwarded,
+        and none are built here."""
+        out = Dataset(
             instance_ids=self.instance_ids[idx].copy(),
             feature_names=self.feature_names,
             feature_kinds=dict(self.feature_kinds),
             columns={name: col[idx].copy() for name, col in self.columns.items()},
             labels=self.labels[idx].copy(),
         )
+        for name, (cats, codes) in list(self._codes.items()):  # a thread may be encoding self
+            out._codes[name] = (cats, _freeze(codes[idx]))
+        return out
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,22 @@ class RoutingError(KeyError):
     """An instance lacks a feature the tree needs for routing."""
 
 
-class BudgetRefusal(RuntimeError):
-    """The curator refused a query; leaks only the remaining budget."""
+# why a curator refuses, each with the text a refusal shows for it
+REFUSAL_REASONS = {
+    "budget": "privacy budget exhausted",
+    "not-disjoint": "parallel query not declared disjoint from its batch",
+    "missing-batch-id": "parallel query without a batch id",
+}
 
-    def __init__(self, remaining_epsilon: float):
-        super().__init__(f"privacy budget exhausted (remaining={remaining_epsilon})")
+
+class BudgetRefusal(RuntimeError):
+    """The curator refused a query; leaks only the remaining budget and the
+    reason, which depends on the request and the ledger alone."""
+
+    def __init__(self, remaining_epsilon: float, reason: str = "budget"):
+        super().__init__(f"{REFUSAL_REASONS[reason]} (remaining={remaining_epsilon})")
         self.remaining_epsilon = remaining_epsilon
+        self.reason = reason
 
 
 class ProtocolError(RuntimeError):

@@ -25,7 +25,7 @@ from scipy import stats as _scipy_stats
 from . import __version__ as _version
 from .binning import apply_binning, bin_numeric_features
 from .curator import Curator, InProcessClient
-from .data import Dataset, SensitiveTable
+from .data import CATEGORICAL, Dataset, SensitiveTable
 from .errors import DegenerateEstimateError, MetricError, ParameterError
 from .estimator import InvalidPolicy, estimate_sp
 from .mechanisms import EXPONENTIAL, LAPLACE
@@ -106,35 +106,41 @@ def grid_search_tree(
     seed: int = 0,
 ) -> tuple[DecisionTree, GridSearchReport]:
     """Pick the tuple with the best cross-validated balanced accuracy and
-    refit it on the full split. Deterministic under the seed."""
+    refit it on the full split. Deterministic under the seed.
+
+    Each fold's tables are taken once and scored for every tuple; the
+    categorical columns are encoded before the folds are taken, so every
+    fold and the final refit share one category table per column."""
     fold_idx = stratified_folds(data.labels, folds, seed)
-    evaluated = []
-    best: tuple[float, tuple[int, int, str]] | None = None
-    for params in space.tuples():
-        height, leaves, mode = params
-        scores = []
-        note = ""
-        for fold_no, (train_idx, val_idx) in enumerate(fold_idx):
-            train = data.take(train_idx)
-            if space.minleaf_fraction * train.n < 1:
-                note = "fold smaller than the minleaf requirement"
-                break
+    params_list = space.tuples()
+    if any(space.minleaf_fraction * len(train_idx) < 1 for train_idx, _ in fold_idx):
+        # a fold smaller than the minleaf requirement fails every tuple alike
+        raise ParameterError("no grid tuple could be evaluated")
+    for name in data.feature_names:
+        if data.feature_kinds[name] == CATEGORICAL:
+            data.codes(name)
+    scores: list[list[float]] = [[] for _ in params_list]  # per tuple, in fold order
+    for fold_no, (train_idx, val_idx) in enumerate(fold_idx):
+        train, val = data.take(train_idx), data.take(val_idx)
+        for (height, leaves, mode), tuple_scores in zip(params_list, scores):
             config = LearnerConfig(
                 max_height=height, minleaf_fraction=space.minleaf_fraction, max_leaves=leaves,
                 feature_subsample=mode, criterion=space.criterion,
                 seed=seed * 1009 + fold_no,
             )
-            tree = fit(train, config)
-            val = data.take(val_idx)
-            preds = PredictionSet(val.labels, predict_dataset(tree, val), np.zeros(val.n, int), 1)
+            preds = PredictionSet(val.labels, predict_dataset(fit(train, config), val),
+                                  np.zeros(val.n, int), 1)
             try:
-                scores.append(balanced_accuracy(preds))
+                tuple_scores.append(balanced_accuracy(preds))
             except MetricError:
                 continue  # single-class validation fold
-        if note or not scores:
-            evaluated.append((params, None, note or "no scorable folds"))
+    evaluated = []
+    best: tuple[float, tuple[int, int, str]] | None = None
+    for params, tuple_scores in zip(params_list, scores):
+        if not tuple_scores:
+            evaluated.append((params, None, "no scorable folds"))
             continue
-        mean_score = float(np.mean(scores))
+        mean_score = float(np.mean(tuple_scores))
         evaluated.append((params, mean_score, ""))
         if best is None or mean_score > best[0]:
             best = (mean_score, params)

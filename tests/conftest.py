@@ -34,6 +34,44 @@ def make_dataset(n=200, seed=0, p_group=0.3, k=2, label_noise=0.6):
     return ds, table
 
 
+# sorted order differs from first-appearance order, so a table in any other
+# order than np.unique's breaks "first category wins" ties
+CATEGORY_POOL = ["zeta", "b10", "alpha", "b9", "Mid", "mid", "a b", "_"]
+
+
+def random_mixed_dataset(rng):
+    """Mixed numeric/categorical table; some columns are duplicated or built so
+    that several categories, or several features, tie on gain."""
+    n = int(rng.integers(16, 121))
+    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
+    cols, kinds = {}, {}
+    for f in range(int(rng.integers(1, 6))):
+        name = f"f{f}"
+        shape = rng.random()
+        if shape < 0.3 and f:  # copy of an earlier column: ties across features
+            src = f"f{int(rng.integers(0, f))}"
+            cols[name], kinds[name] = cols[src], kinds[src]
+        elif shape < 0.5:  # numeric, with repeated values
+            cols[name] = rng.integers(0, int(rng.integers(2, 8)), n).astype(float)
+            kinds[name] = "numeric"
+        elif shape < 0.6:
+            cols[name] = np.round(rng.normal(0, 1, n), 1)
+            kinds[name] = "numeric"
+        elif shape < 0.8:  # categories tied in size and label count
+            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(2, 5)), replace=False)
+            cols[name] = np.array([cats[(i // 2) % len(cats)] for i in range(n)])
+            kinds[name] = "categorical"
+        else:
+            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(1, 7)), replace=False)
+            p = rng.dirichlet(np.ones(len(cats)))
+            cols[name] = rng.choice(cats, size=n, p=p)
+            kinds[name] = "categorical"
+    if rng.random() < 0.3:  # labels alternate with row parity: pairs split evenly
+        labels = np.arange(n) % 2
+    names = tuple(cols)
+    return Dataset(np.arange(n), names, kinds, {k: np.array(cols[k]) for k in names}, labels)
+
+
 @pytest.fixture
 def small_data():
     return make_dataset(n=240, seed=3)

@@ -153,14 +153,9 @@ def _answers(request, **answer):
     ]}
 
 
-@pytest.mark.parametrize("reply", [
-    lambda request: {"type": "refusal"},
-    lambda request: _answers(request),
-    lambda request: _answers(request, counts=["x", "1.0"]),
-    lambda request: {"type": "answers"},
-], ids=["refusal-without-remaining", "answer-without-counts", "non-numeric-count",
-        "answers-without-list"])
-def test_audit_malformed_curator_reply_is_protocol_error(tree_file, reply, capsys):
+def audit_against_stub(tree_file, reply):
+    """Exit code of an audit against a stub curator that answers its one
+    request frame with reply(request)."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve_one():
@@ -178,8 +173,27 @@ def test_audit_malformed_curator_reply_is_protocol_error(tree_file, reply, capsy
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
-    assert code == cli.EXIT_PROTOCOL
+    return code
+
+
+@pytest.mark.parametrize("reply", [
+    lambda request: {"type": "refusal"},
+    lambda request: {"type": "refusal", "remaining_epsilon": "0.5", "reason": "tired"},
+    lambda request: _answers(request),
+    lambda request: _answers(request, counts=["x", "1.0"]),
+    lambda request: {"type": "answers"},
+], ids=["refusal-without-remaining", "refusal-with-unknown-reason", "answer-without-counts",
+        "non-numeric-count", "answers-without-list"])
+def test_audit_malformed_curator_reply_is_protocol_error(tree_file, reply, capsys):
+    assert audit_against_stub(tree_file, reply) == cli.EXIT_PROTOCOL
     assert "protocol error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reason", ["not-disjoint", "missing-batch-id"])
+def test_audit_prints_the_refusal_reason(tree_file, reason, capsys):
+    reply = {"type": "refusal", "remaining_epsilon": "0.5", "reason": reason}
+    assert audit_against_stub(tree_file, lambda request: reply) == cli.EXIT_BUDGET
+    assert f"refused ({reason})" in capsys.readouterr().err
 
 
 def test_curator_serve_and_reconnect_budget_persists(tree_file, tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from privfair import curator as C
 from privfair.data import Dataset, SensitiveTable
-from privfair.errors import (BudgetRefusal, DataError, MechanismError, ParameterError,
-                             ProtocolError)
+from privfair.errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError,
+                             ParameterError, ProtocolError)
 from privfair.tree import RuleClause, SplitClause, rule_mask
 
 from conftest import FIXTURES
@@ -515,6 +515,12 @@ def test_process_frame_never_raises_and_ledger_holds(frames):
     for frame in frames:
         reply = C.process_frame(cur, C.encode_frame(frame))
         assert reply["type"] in ("answer", "answers", "refusal", "error")
+        if reply["type"] == "refusal":
+            assert set(reply) <= {"type", "remaining_epsilon", "reason"}
+            assert reply.get("reason") in (None, "not-disjoint", "missing-batch-id")
+            if reply.get("reason") == "missing-batch-id":
+                members = frame.get("queries", [frame])
+                assert any(q.get("batch_id", "b") in ("", None) for q in members)
         for identity in identities:
             ledger = cur.ledger(identity)
             now = (ledger.spent, len(ledger.entries))
@@ -548,7 +554,7 @@ def test_refused_batch_frame_charges_nothing():
     overlapping = C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
                                  batch_id="b")
     reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(audit_queries() + [overlapping])))
-    assert reply == C.refusal_frame(1.0)
+    assert reply == C.refusal_frame(1.0, "not-disjoint")
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
 
@@ -702,6 +708,37 @@ def test_wire_ask_batch_matches_in_process():
     want = C.InProcessClient(fixed_curator(seed=71)).ask_batch(queries)
     assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
     assert [a.digest for a in got] == [a.digest for a in want]
+
+
+REFUSALS = [
+    ("budget", C.CuratorQuery((), 2.0, "laplace")),
+    ("not-disjoint", C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
+                                    batch_id="b")),
+    ("missing-batch-id", C.CuratorQuery((), 0.25, "laplace", composition=C.PARALLEL)),
+]
+
+
+@pytest.mark.parametrize("reason, last", REFUSALS, ids=[reason for reason, _ in REFUSALS])
+def test_refusal_names_its_cause(reason, last):
+    queries = audit_queries() + [last]
+    cur = fixed_curator(total_epsilon=1.0, seed=89)
+    with pytest.raises(BudgetRefusal) as exc:
+        cur.answer_batch(queries)
+    assert exc.value.reason == reason
+    assert str(exc.value).startswith(REFUSAL_REASONS[reason])
+    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(queries)))
+    assert reply == C.refusal_frame(1.0, reason)
+    assert ("reason" in reply) == (reason != "budget")  # a budget refusal frame is unchanged
+    server = serving(cur)
+    try:
+        with C.WireClient(*server.address) as client:
+            with pytest.raises(BudgetRefusal) as exc:
+                client.ask_batch(queries)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (exc.value.reason, exc.value.remaining_epsilon) == (reason, 1.0)
+    assert cur.ledger().entries == []
 
 
 def test_wire_ask_batch_rejects_a_short_answers_frame(monkeypatch):

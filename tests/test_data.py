@@ -445,6 +445,34 @@ def test_codes_leave_equality_and_repr_alone():
         "instance_ids", "feature_names", "feature_kinds", "columns", "labels"]
 
 
+def test_take_forwards_the_codes_its_parent_built_and_builds_none(monkeypatch):
+    col = np.array(["c", "a", "b", "a", "c", "b"])
+    parent = D.Dataset(np.arange(6), ("c", "d"), {"c": D.CATEGORICAL, "d": D.CATEGORICAL},
+                       {"c": col, "d": col.copy()}, np.array([0, 1] * 3))
+    idx = np.array([0, 3, 4])  # rows c, a, c: no "b"
+    before = parent.take(idx)
+    cats, codes = parent.codes("c")
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("take encoded a column")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(D.np, "unique", no_encoding)
+        after = parent.take(idx)
+        got_cats, got_codes = after.codes("c")
+        again_cats, again_codes = after.take(np.array([2, 1])).codes("c")
+    assert got_cats is cats and again_cats is cats
+    assert got_cats.tolist() == ["a", "b", "c"]  # lists "b", which no row of `after` holds
+    assert got_codes.tolist() == codes[idx].tolist() == [2, 0, 2]
+    assert again_codes.tolist() == [2, 0]
+    assert not got_codes.flags.writeable and not again_codes.flags.writeable
+    # a table taken before its parent was encoded, or a column the parent
+    # never encoded, gets a table of its own rows
+    for own_cats, own_codes in (before.codes("c"), after.codes("d")):
+        assert own_cats is not cats
+        assert own_cats.tolist() == ["a", "c"] and own_codes.tolist() == [1, 0, 1]
+
+
 def test_codes_racing_threads_share_one_pair():
     col = np.array(["b", "a", "c"] * 20_000)
     interval = sys.getswitchinterval()

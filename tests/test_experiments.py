@@ -6,11 +6,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from privfair import experiments as X
-from privfair.data import encode_sensitive
+from privfair import tree as T
+from privfair.data import Dataset, encode_sensitive
 from privfair.errors import MetricError, ParameterError
-from privfair.metrics import aaspe
+from privfair.metrics import PredictionSet, aaspe, balanced_accuracy
 
-from conftest import make_dataset
+from conftest import make_dataset, random_mixed_dataset
 
 
 def exp1_config(**kw):
@@ -126,6 +127,116 @@ def test_grid_search_skips_infeasible_tuples():
                                     minleaf_fraction=0.03)
     with pytest.raises(ParameterError):
         X.grid_search_tree(small, space_tight, folds=5, seed=1)
+
+
+def reference_grid_search(data, space, folds=5, seed=0):
+    """The grid search with the tuple loop outside the fold loop: every tuple
+    takes, and so encodes, each fold afresh."""
+    fold_idx = X.stratified_folds(data.labels, folds, seed)
+    evaluated = []
+    best = None
+    for params in space.tuples():
+        height, leaves, mode = params
+        scores = []
+        note = ""
+        for fold_no, (train_idx, val_idx) in enumerate(fold_idx):
+            train = data.take(train_idx)
+            if space.minleaf_fraction * train.n < 1:
+                note = "fold smaller than the minleaf requirement"
+                break
+            config = T.LearnerConfig(
+                max_height=height, minleaf_fraction=space.minleaf_fraction, max_leaves=leaves,
+                feature_subsample=mode, criterion=space.criterion,
+                seed=seed * 1009 + fold_no,
+            )
+            tree = T.fit(train, config)
+            val = data.take(val_idx)
+            preds = PredictionSet(val.labels, T.predict_dataset(tree, val), np.zeros(val.n, int), 1)
+            try:
+                scores.append(balanced_accuracy(preds))
+            except MetricError:
+                continue
+        if note or not scores:
+            evaluated.append((params, None, note or "no scorable folds"))
+            continue
+        mean_score = float(np.mean(scores))
+        evaluated.append((params, mean_score, ""))
+        if best is None or mean_score > best[0]:
+            best = (mean_score, params)
+    if best is None:
+        raise ParameterError("no grid tuple could be evaluated")
+    score, (height, leaves, mode) = best
+    final = T.fit(data, T.LearnerConfig(
+        max_height=height, minleaf_fraction=space.minleaf_fraction, max_leaves=leaves,
+        feature_subsample=mode, criterion=space.criterion, seed=seed,
+    ))
+    return final, X.GridSearchReport(tuple(evaluated), (height, leaves, mode), score)
+
+
+def search_outcome(search, data, space, folds, seed):
+    try:
+        tree, report = search(data, space, folds=folds, seed=seed)
+    except ParameterError as exc:
+        return "ParameterError", str(exc)
+    return T.to_record(tree), report.evaluated, report.chosen, report.cv_score
+
+
+def assert_search_matches_reference(data, space, folds, seed):
+    """Both searches on their own unencoded copy of data; returns the outcome."""
+    want = search_outcome(reference_grid_search, data.take(np.arange(data.n)), space, folds, seed)
+    got = search_outcome(X.grid_search_tree, data.take(np.arange(data.n)), space, folds, seed)
+    assert got == want
+    return got
+
+
+def random_search_space(rng, n):
+    def some(pool):
+        return tuple(rng.choice(pool, size=int(rng.integers(1, 3)), replace=False).tolist())
+
+    return X.TreeSearchSpace(
+        heights=some([1, 2, 3, 4]), leaf_counts=some([2, 3, 5, 8]),
+        feature_modes=some(["all", "sqrt", "log2"]),
+        minleaf_fraction=float(rng.uniform(0.5 / n, 0.2)),
+        criterion=str(rng.choice(["entropy", "gini"])),
+    )
+
+
+def test_grid_search_matches_tuple_outer_reference():
+    rng = np.random.default_rng(20261018)
+    raised = 0
+    for _ in range(120):
+        data = random_mixed_dataset(rng)
+        space = random_search_space(rng, data.n)
+        got = assert_search_matches_reference(
+            data, space, folds=int(rng.integers(2, 6)), seed=int(rng.integers(0, 1000)))
+        raised += got[0] == "ParameterError"
+    assert 5 <= raised <= 60
+
+
+def test_grid_search_single_class_validation_fold_matches_reference():
+    # 3 positives over 5 folds: two validation folds hold negatives only
+    rng = np.random.default_rng(5)
+    n = 60
+    labels = np.zeros(n, dtype=int)
+    labels[[4, 17, 40]] = 1
+    x = rng.normal(0, 1, n) + labels
+    c = rng.choice(["a", "b", "c"], n)
+    data = Dataset(np.arange(n), ("x", "c"), {"x": "numeric", "c": "categorical"},
+                   {"x": x, "c": c}, labels)
+    space = X.TreeSearchSpace(heights=(1, 2), leaf_counts=(2, 3), feature_modes=("all",),
+                              minleaf_fraction=0.05)
+    folds = X.stratified_folds(labels, 5, 3)
+    assert sum(labels[val].all() or not labels[val].any() for _, val in folds) == 2
+    _, evaluated, _, _ = assert_search_matches_reference(data, space, 5, 3)
+    assert all(score is not None for _, score, _ in evaluated)
+
+
+def test_grid_search_every_tuple_below_minleaf_matches_reference():
+    ds, _ = make_dataset(n=30, seed=5)
+    space = X.TreeSearchSpace(heights=(2, 3), leaf_counts=(3, 4), feature_modes=("all", "sqrt"),
+                              minleaf_fraction=0.03)  # 0.03 * 24 rows per training fold < 1
+    assert assert_search_matches_reference(ds, space, 5, 1) == (
+        "ParameterError", "no grid tuple could be evaluated")
 
 
 # ---------------------------------------------------------------------------

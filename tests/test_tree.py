@@ -7,7 +7,7 @@ from privfair import tree as T
 from privfair.data import Dataset
 from privfair.errors import DataError, ParameterError, RoutingError
 
-from conftest import make_dataset, reference_predict
+from conftest import make_dataset, random_mixed_dataset, reference_predict
 
 
 def tiny_dataset(xs, labels, kinds=None):
@@ -498,44 +498,6 @@ def reference_fit(data, config):
         return T.fit(data, config)
 
 
-# sorted order differs from first-appearance order, so a table in any other
-# order than np.unique's breaks "first category wins" ties
-CATEGORY_POOL = ["zeta", "b10", "alpha", "b9", "Mid", "mid", "a b", "_"]
-
-
-def random_mixed_dataset(rng):
-    """Mixed numeric/categorical table; some columns are duplicated or built so
-    that several categories, or several features, tie on gain."""
-    n = int(rng.integers(16, 121))
-    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(int)
-    cols, kinds = {}, {}
-    for f in range(int(rng.integers(1, 6))):
-        name = f"f{f}"
-        shape = rng.random()
-        if shape < 0.3 and f:  # copy of an earlier column: ties across features
-            src = f"f{int(rng.integers(0, f))}"
-            cols[name], kinds[name] = cols[src], kinds[src]
-        elif shape < 0.5:  # numeric, with repeated values
-            cols[name] = rng.integers(0, int(rng.integers(2, 8)), n).astype(float)
-            kinds[name] = "numeric"
-        elif shape < 0.6:
-            cols[name] = np.round(rng.normal(0, 1, n), 1)
-            kinds[name] = "numeric"
-        elif shape < 0.8:  # categories tied in size and label count
-            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(2, 5)), replace=False)
-            cols[name] = np.array([cats[(i // 2) % len(cats)] for i in range(n)])
-            kinds[name] = "categorical"
-        else:
-            cats = rng.choice(CATEGORY_POOL, size=int(rng.integers(1, 7)), replace=False)
-            p = rng.dirichlet(np.ones(len(cats)))
-            cols[name] = rng.choice(cats, size=n, p=p)
-            kinds[name] = "categorical"
-    if rng.random() < 0.3:  # labels alternate with row parity: pairs split evenly
-        labels = np.arange(n) % 2
-    names = tuple(cols)
-    return Dataset(np.arange(n), names, kinds, {k: np.array(cols[k]) for k in names}, labels)
-
-
 def random_config(rng, n):
     return T.LearnerConfig(
         max_height=int(rng.integers(1, 7)),
@@ -565,17 +527,24 @@ def test_split_search_matches_string_reference():
     split_categorical = 0
     for _ in range(300):
         parent = random_mixed_dataset(rng)
+        # a subset lacks some of the parent's categories. Taken before the
+        # parent is encoded, it builds its own category table; taken after,
+        # it shares the parent's wider one, which lists categories it lacks.
+        picked = np.sort(rng.choice(parent.n, size=parent.n // 2, replace=False))
+        own = parent.take(picked)
         config = random_config(rng, parent.n)
         tree = T.fit(parent, config)
         assert T.to_record(tree) == T.to_record(reference_fit(parent, config))
-        # a subset lacks some of the parent's categories; it is encoded on its
-        # own, after the parent's table was already built
-        sub = parent.take(np.sort(rng.choice(parent.n, size=parent.n // 2, replace=False)))
-        sub_config = random_config(rng, sub.n)
-        sub_tree = T.fit(sub, sub_config)
-        assert T.to_record(sub_tree) == T.to_record(reference_fit(sub, sub_config))
+        for name in parent.feature_names:
+            if parent.feature_kinds[name] == "categorical":
+                parent.codes(name)
+        shared = parent.take(picked)
+        sub_config = random_config(rng, own.n)
+        sub_tree = T.fit(own, sub_config)
+        assert T.to_record(sub_tree) == T.to_record(reference_fit(shared, sub_config))
+        assert T.to_record(T.fit(shared, sub_config)) == T.to_record(sub_tree)
         for fitted in (tree, sub_tree):
-            for data in (parent, sub):
+            for data in (parent, own, shared):
                 assert_categorical_masks_match_strings(fitted, data)
                 rows = [{f: data.columns[f][i] for f in data.feature_names} for i in range(data.n)]
                 want = [reference_predict(fitted, row) for row in rows]  # string equality per row
