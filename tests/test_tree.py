@@ -524,7 +524,7 @@ def assert_categorical_masks_match_strings(tree, data):
 
 def test_split_search_matches_string_reference():
     rng = np.random.default_rng(20240611)
-    split_categorical = 0
+    split_categorical = wider = 0
     for _ in range(300):
         parent = random_mixed_dataset(rng)
         # a subset lacks some of the parent's categories. Taken before the
@@ -550,4 +550,6 @@ def test_split_search_matches_string_reference():
                 want = [reference_predict(fitted, row) for row in rows]  # string equality per row
                 assert T.predict_dataset(fitted, data).tolist() == want
         split_categorical += "'op': '='" in repr(T.to_record(tree))
-    assert split_categorical >= 50
+        wider += any(len(shared.codes(f)[0]) > len(own.codes(f)[0])
+                     for f in parent.feature_names if parent.feature_kinds[f] == "categorical")
+    assert split_categorical >= 50 and wider >= 20
