@@ -39,17 +39,7 @@ from .errors import (
     RoutingError,
 )
 from .estimator import InvalidPolicy, estimate_sp
-from .experiments import (
-    config_from_manifest,
-    desk_scale_exp1,
-    desk_scale_exp2,
-    paper_scale_exp1,
-    paper_scale_exp2,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_2_1,
-    save_heatmap,
-)
+from .experiments import config_from_manifest, preset_config, run_and_save
 from .metrics import PredictionSet, balanced_accuracy
 from .tree import (
     LearnerConfig,
@@ -284,31 +274,14 @@ def cmd_experiment(args) -> int:
             which = "2.1" if args.which == "2.1" else "2"
     else:
         which = args.which
-        seed = args.seed or 0
-        if which == "1":
-            config = paper_scale_exp1(seed) if args.paper_scale else desk_scale_exp1(seed)
-        else:
-            config = paper_scale_exp2(seed) if args.paper_scale else desk_scale_exp2(seed)
+        config = preset_config(which, args.paper_scale, args.seed or 0)
         if args.runs:
             config = dataclasses.replace(config, runs=args.runs)
 
     family, (train_ds, _), (test_ds, test_sens) = _load_dataset(args)
-    spec = _encoding_spec(family, args.sensitive)
-    sens_table = encode_sensitive(test_sens, spec)
-    out_dir = _out_dir(args.out)
-
-    if which == "1":
-        result = run_experiment_1(train_ds, test_ds, sens_table, config, progress=True)
-        paths = result.save(out_dir)
-    else:
-        result = run_experiment_2(train_ds, test_ds, sens_table, config, progress=True)
-        paths = result.save(out_dir)
-        if which == "2.1":
-            grid, notes = run_experiment_2_1(result)
-            heat = save_heatmap(grid, out_dir / "experiment2_1_heatmap.csv")
-            paths["heatmap"] = heat
-            for note in notes:
-                print(note, file=sys.stderr)
+    sens_table = encode_sensitive(test_sens, _encoding_spec(family, args.sensitive))
+    paths = run_and_save(which, train_ds, test_ds, sens_table, config, _out_dir(args.out),
+                         progress=True)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
     return EXIT_OK

@@ -114,12 +114,6 @@ class BudgetLedger:
         self._batches.update(batches)
         self.entries.extend(entries)
 
-    def replay(self) -> float:
-        total = 0.0
-        for entry in self.entries:
-            total += entry.charged
-        return total
-
 
 @dataclass(frozen=True)
 class CuratorQuery:
@@ -390,9 +384,6 @@ class InProcessClient:
     def __init__(self, curator: Curator, identity: str = "default"):
         self._curator = curator
         self.identity = identity
-
-    def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        return self._curator.answer(_as_identity(query, self.identity))
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
         return self._curator.answer_batch([_as_identity(q, self.identity) for q in queries])

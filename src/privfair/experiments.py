@@ -29,7 +29,7 @@ from .data import CATEGORICAL, Dataset, SensitiveTable
 from .errors import DegenerateEstimateError, MetricError, ParameterError
 from .estimator import InvalidPolicy, estimate_sp
 from .mechanisms import EXPONENTIAL, LAPLACE
-from .metrics import PredictionSet, aaspe, balanced_accuracy, sp_ratio_kary, uar_minus_aaspe
+from .metrics import PredictionSet, balanced_accuracy, sp_ratio_kary, uar_minus_aaspe
 from .tree import DecisionTree, LearnerConfig, fit, predict_dataset, prune_redundant
 
 
@@ -79,7 +79,7 @@ class TreeSearchSpace:
 
 @dataclass(frozen=True)
 class GridSearchReport:
-    evaluated: tuple[tuple, ...]  # (params, mean balanced accuracy or None, note)
+    evaluated: tuple[tuple, ...]  # (params, mean balanced accuracy), in space.tuples() order
     chosen: tuple[int, int, str]
     cv_score: float
 
@@ -110,17 +110,26 @@ def grid_search_tree(
 
     Each fold's tables are taken once and scored for every tuple; the
     categorical columns are encoded before the folds are taken, so every
-    fold and the final refit share one category table per column."""
+    fold and the final refit share one category table per column. A fold
+    too small for the minleaf requirement, or a run without any validation
+    fold that holds both classes, fails every tuple alike."""
     fold_idx = stratified_folds(data.labels, folds, seed)
-    params_list = space.tuples()
     if any(space.minleaf_fraction * len(train_idx) < 1 for train_idx, _ in fold_idx):
-        # a fold smaller than the minleaf requirement fails every tuple alike
-        raise ParameterError("no grid tuple could be evaluated")
+        raise ParameterError("no grid tuple could be evaluated: "
+                             "a training fold is smaller than the minleaf requirement")
+    # balanced accuracy is undefined on a validation fold without both classes
+    scorable = [(fold_no, train_idx, val_idx)
+                for fold_no, (train_idx, val_idx) in enumerate(fold_idx)
+                if np.isin((0, 1), data.labels[val_idx]).all()]
+    if not scorable:
+        raise ParameterError("no grid tuple could be evaluated: "
+                             "no validation fold holds both classes")
     for name in data.feature_names:
         if data.feature_kinds[name] == CATEGORICAL:
             data.codes(name)
+    params_list = space.tuples()
     scores: list[list[float]] = [[] for _ in params_list]  # per tuple, in fold order
-    for fold_no, (train_idx, val_idx) in enumerate(fold_idx):
+    for fold_no, train_idx, val_idx in scorable:
         train, val = data.take(train_idx), data.take(val_idx)
         for (height, leaves, mode), tuple_scores in zip(params_list, scores):
             config = LearnerConfig(
@@ -130,23 +139,9 @@ def grid_search_tree(
             )
             preds = PredictionSet(val.labels, predict_dataset(fit(train, config), val),
                                   np.zeros(val.n, int), 1)
-            try:
-                tuple_scores.append(balanced_accuracy(preds))
-            except MetricError:
-                continue  # single-class validation fold
-    evaluated = []
-    best: tuple[float, tuple[int, int, str]] | None = None
-    for params, tuple_scores in zip(params_list, scores):
-        if not tuple_scores:
-            evaluated.append((params, None, "no scorable folds"))
-            continue
-        mean_score = float(np.mean(tuple_scores))
-        evaluated.append((params, mean_score, ""))
-        if best is None or mean_score > best[0]:
-            best = (mean_score, params)
-    if best is None:
-        raise ParameterError("no grid tuple could be evaluated")
-    score, (height, leaves, mode) = best
+            tuple_scores.append(balanced_accuracy(preds))
+    evaluated = tuple((params, float(np.mean(s))) for params, s in zip(params_list, scores))
+    (height, leaves, mode), score = max(evaluated, key=lambda e: e[1])  # first best tuple
     final = fit(
         data,
         LearnerConfig(
@@ -154,30 +149,11 @@ def grid_search_tree(
             feature_subsample=mode, criterion=space.criterion, seed=seed,
         ),
     )
-    return final, GridSearchReport(tuple(evaluated), (height, leaves, mode), score)
+    return final, GridSearchReport(evaluated, (height, leaves, mode), score)
 
 
 # ---------------------------------------------------------------------------
 # Experiment configuration and records
-
-def desk_epsilon_grid() -> tuple[float, ...]:
-    return tuple(k / 20.0 for k in range(1, 11))
-
-
-def paper_epsilon_grid() -> tuple[float, ...]:
-    return tuple(k / 80.0 for k in range(1, 41))
-
-
-def desk_minleaf_grid() -> tuple[float, ...]:
-    return tuple(k / 100.0 for k in range(1, 21))
-
-
-def paper_minleaf_grid() -> tuple[float, ...]:
-    return tuple(k / 400.0 for k in range(1, 81))
-
-
-EXP2_EPSILONS = tuple(k / 20.0 for k in range(1, 6))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -198,26 +174,24 @@ class ExperimentConfig:
             raise ParameterError("need at least 2 runs per cell for any t-test")
 
 
-def desk_scale_exp1(seed: int = 0, mechanisms=(LAPLACE, EXPONENTIAL)) -> ExperimentConfig:
-    return ExperimentConfig(epsilons=desk_epsilon_grid(), runs=25, mechanisms=tuple(mechanisms), seed=seed)
+def preset_config(experiment: str, paper_scale: bool = False, seed: int = 0) -> ExperimentConfig:
+    """The desk-scale (or paper-scale) config of experiment "1", "2" or "2.1".
 
-
-def paper_scale_exp1(seed: int = 0, mechanisms=(LAPLACE, EXPONENTIAL)) -> ExperimentConfig:
-    return ExperimentConfig(epsilons=paper_epsilon_grid(), runs=50, mechanisms=tuple(mechanisms), seed=seed)
-
-
-def desk_scale_exp2(seed: int = 0, mechanism=LAPLACE) -> ExperimentConfig:
-    return ExperimentConfig(
-        epsilons=EXP2_EPSILONS, runs=25, mechanisms=(mechanism,), seed=seed,
-        minleafs=desk_minleaf_grid(),
-    )
-
-
-def paper_scale_exp2(seed: int = 0, mechanism=LAPLACE) -> ExperimentConfig:
-    return ExperimentConfig(
-        epsilons=EXP2_EPSILONS, runs=50, mechanisms=(mechanism,), seed=seed,
-        minleafs=paper_minleaf_grid(),
-    )
+    Experiment 1 compares Laplace and exponential over 10 (paper: 40) epsilons
+    up to 0.5; experiment 2 audits Laplace over 5 epsilons up to 0.25 and 20
+    (paper: 80) minleafs up to 0.2. Desk scale runs 25 audits per cell, paper
+    scale 50."""
+    runs = 50 if paper_scale else 25
+    if experiment == "1":
+        epsilons = (tuple(k / 80.0 for k in range(1, 41)) if paper_scale
+                    else tuple(k / 20.0 for k in range(1, 11)))
+        return ExperimentConfig(epsilons=epsilons, runs=runs, seed=seed)
+    if experiment in ("2", "2.1"):
+        minleafs = (tuple(k / 400.0 for k in range(1, 81)) if paper_scale
+                    else tuple(k / 100.0 for k in range(1, 21)))
+        return ExperimentConfig(epsilons=tuple(k / 20.0 for k in range(1, 6)), runs=runs,
+                                mechanisms=(LAPLACE,), seed=seed, minleafs=minleafs)
+    raise ParameterError(f"unknown experiment {experiment!r}; use 1, 2 or 2.1")
 
 
 RECORD_FIELDS = (
@@ -521,3 +495,23 @@ def save_heatmap(grid: dict, out_path) -> Path:
                 row.append(repr(grid[(m, e)]) if (m, e) in grid else "")
             writer.writerow(row)
     return out_path
+
+
+def run_and_save(which: str, train: Dataset, test: Dataset, test_sensitive: SensitiveTable,
+                 config: ExperimentConfig, out_dir, progress: bool) -> dict[str, Path]:
+    """Run experiment "1", "2" or "2.1" and save its files under out_dir.
+
+    Experiment 2.1 is experiment 2 plus the heatmap; its notes go to stderr.
+    Returns the written paths by kind."""
+    if which == "1":
+        return run_experiment_1(train, test, test_sensitive, config, progress=progress).save(out_dir)
+    if which not in ("2", "2.1"):
+        raise ParameterError(f"unknown experiment {which!r}; use 1, 2 or 2.1")
+    result = run_experiment_2(train, test, test_sensitive, config, progress=progress)
+    paths = result.save(out_dir)
+    if which == "2.1":
+        grid, notes = run_experiment_2_1(result)
+        paths["heatmap"] = save_heatmap(grid, Path(out_dir) / "experiment2_1_heatmap.csv")
+        for note in notes:
+            print(note, file=sys.stderr)
+    return paths

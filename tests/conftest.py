@@ -122,6 +122,16 @@ def dp_density_ratio_check(mechanism, params, neighboring_counts, domain_max=Non
     return bool(float((p / p2).max()) <= bound and float((p2 / p).max()) <= bound)
 
 
+def replay(ledger):
+    """The ledger's spend recomputed from its entries. A running total, not
+    sum(): from Python 3.12 on, sum() of floats is compensated and can differ
+    from the ledger's own running total."""
+    total = 0.0
+    for entry in ledger.entries:
+        total += entry.charged
+    return total
+
+
 def equalized_odds(preds):
     """Per-outcome gaps p(pred=1|y,A=1) - p(pred=1|y,A=0) for y = 0 and y = 1."""
     gaps = []

@@ -46,8 +46,8 @@ from privfair.estimator import estimate_sp
 from privfair.experiments import (
     ExperimentConfig,
     TreeSearchSpace,
-    desk_epsilon_grid,
     grid_search_tree,
+    preset_config,
     run_experiment_2,
     welch_t_test,
 )
@@ -176,7 +176,7 @@ def test_criterion_4_invalid_ratio_trend():
     tree = T.prune_redundant(
         T.fit(train, T.LearnerConfig(max_height=3, minleaf_fraction=0.05, seed=1))
     )
-    grid = desk_epsilon_grid()
+    grid = preset_config("1").epsilons
     means = []
     for i, eps in enumerate(grid):
         _, _, invalids = audit_errors(tree, test, table, eps, "laplace", 25, 40_000 + 1000 * i)

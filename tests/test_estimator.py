@@ -396,10 +396,6 @@ class RecordingClient(InProcessClient):
         super().__init__(curator)
         self.calls = []
 
-    def ask(self, query):
-        self.calls.append(("ask", query))
-        return super().ask(query)
-
     def ask_batch(self, queries):
         self.calls.append(("ask_batch", list(queries)))
         return super().ask_batch(queries)

@@ -131,18 +131,20 @@ def test_grid_search_skips_infeasible_tuples():
 
 def reference_grid_search(data, space, folds=5, seed=0):
     """The grid search with the tuple loop outside the fold loop: every tuple
-    takes, and so encodes, each fold afresh."""
+    takes, and so encodes, each fold afresh, and fits a single-class
+    validation fold before it drops its undefined score."""
     fold_idx = X.stratified_folds(data.labels, folds, seed)
     evaluated = []
+    causes = set()
     best = None
     for params in space.tuples():
         height, leaves, mode = params
         scores = []
-        note = ""
+        cause = "no validation fold holds both classes"
         for fold_no, (train_idx, val_idx) in enumerate(fold_idx):
             train = data.take(train_idx)
             if space.minleaf_fraction * train.n < 1:
-                note = "fold smaller than the minleaf requirement"
+                scores, cause = [], "a training fold is smaller than the minleaf requirement"
                 break
             config = T.LearnerConfig(
                 max_height=height, minleaf_fraction=space.minleaf_fraction, max_leaves=leaves,
@@ -156,15 +158,15 @@ def reference_grid_search(data, space, folds=5, seed=0):
                 scores.append(balanced_accuracy(preds))
             except MetricError:
                 continue
-        if note or not scores:
-            evaluated.append((params, None, note or "no scorable folds"))
+        if not scores:
+            causes.add(cause)
             continue
         mean_score = float(np.mean(scores))
-        evaluated.append((params, mean_score, ""))
+        evaluated.append((params, mean_score))
         if best is None or mean_score > best[0]:
             best = (mean_score, params)
     if best is None:
-        raise ParameterError("no grid tuple could be evaluated")
+        raise ParameterError("no grid tuple could be evaluated: " + "; ".join(sorted(causes)))
     score, (height, leaves, mode) = best
     final = T.fit(data, T.LearnerConfig(
         max_height=height, minleaf_fraction=space.minleaf_fraction, max_leaves=leaves,
@@ -213,7 +215,7 @@ def test_grid_search_matches_tuple_outer_reference():
     assert 5 <= raised <= 60
 
 
-def test_grid_search_single_class_validation_fold_matches_reference():
+def test_grid_search_single_class_validation_fold_matches_reference(monkeypatch):
     # 3 positives over 5 folds: two validation folds hold negatives only
     rng = np.random.default_rng(5)
     n = 60
@@ -227,8 +229,12 @@ def test_grid_search_single_class_validation_fold_matches_reference():
                               minleaf_fraction=0.05)
     folds = X.stratified_folds(labels, 5, 3)
     assert sum(labels[val].all() or not labels[val].any() for _, val in folds) == 2
+    fits = []
+    monkeypatch.setattr(X, "fit", lambda *a: fits.append(a) or T.fit(*a))
     _, evaluated, _, _ = assert_search_matches_reference(data, space, 5, 3)
-    assert all(score is not None for _, score, _ in evaluated)
+    assert [params for params, _ in evaluated] == space.tuples()
+    assert all(isinstance(score, float) for _, score in evaluated)
+    assert len(fits) == 3 * len(space.tuples()) + 1  # the 3 two-class folds and the refit
 
 
 def test_grid_search_every_tuple_below_minleaf_matches_reference():
@@ -236,7 +242,17 @@ def test_grid_search_every_tuple_below_minleaf_matches_reference():
     space = X.TreeSearchSpace(heights=(2, 3), leaf_counts=(3, 4), feature_modes=("all", "sqrt"),
                               minleaf_fraction=0.03)  # 0.03 * 24 rows per training fold < 1
     assert assert_search_matches_reference(ds, space, 5, 1) == (
-        "ParameterError", "no grid tuple could be evaluated")
+        "ParameterError",
+        "no grid tuple could be evaluated: a training fold is smaller than the minleaf requirement")
+
+
+def test_grid_search_no_two_class_validation_fold_matches_reference():
+    ds, _ = make_dataset(n=200, seed=5)
+    ds = Dataset(ds.instance_ids, ds.feature_names, ds.feature_kinds, ds.columns,
+                 np.zeros(ds.n, dtype=int))
+    space = X.TreeSearchSpace(heights=(2,), leaf_counts=(3, 4), feature_modes=("all",))
+    assert assert_search_matches_reference(ds, space, 5, 1) == (
+        "ParameterError", "no grid tuple could be evaluated: no validation fold holds both classes")
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +415,19 @@ def test_save_heatmap_matrix(tmp_path, exp2_result):
 
 
 def test_scale_grids():
-    assert len(X.desk_epsilon_grid()) == 10
-    assert len(X.paper_epsilon_grid()) == 40
-    assert X.paper_epsilon_grid()[-1] == pytest.approx(0.5)
-    assert len(X.desk_minleaf_grid()) == 20
-    assert len(X.paper_minleaf_grid()) == 80
-    assert X.paper_minleaf_grid()[-1] == pytest.approx(0.2)
-    assert X.EXP2_EPSILONS == (0.05, 0.1, 0.15, 0.2, 0.25)
+    desk1, paper1 = X.preset_config("1"), X.preset_config("1", paper_scale=True)
+    desk2, paper2 = X.preset_config("2"), X.preset_config("2", paper_scale=True)
+    assert len(desk1.epsilons) == 10
+    assert len(paper1.epsilons) == 40
+    assert paper1.epsilons[-1] == pytest.approx(0.5)
+    assert len(desk2.minleafs) == 20
+    assert len(paper2.minleafs) == 80
+    assert paper2.minleafs[-1] == pytest.approx(0.2)
+    assert desk2.epsilons == paper2.epsilons == (0.05, 0.1, 0.15, 0.2, 0.25)
+    assert (desk1.runs, paper1.runs, desk2.mechanisms) == (25, 50, ("laplace",))
+    assert X.preset_config("2.1", seed=3) == X.preset_config("2", seed=3)
+    with pytest.raises(ParameterError):
+        X.preset_config("3")
 
 
 def test_config_manifest_round_trip():
