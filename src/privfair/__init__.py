@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
     Dataset,
-    EncodingSpec,
     SensitiveSet,
     SensitiveTable,
     encode_sensitive,

@@ -15,13 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .curator import Curator, CuratorServer, InProcessClient, WireClient
 from .data import (
     DATASET_ENCODINGS,
-    EncodingSpec,
     encode_sensitive,
     load_adult,
     load_compas,
@@ -40,7 +37,7 @@ from .errors import (
 )
 from .estimator import InvalidPolicy, estimate_sp
 from .experiments import config_from_manifest, preset_config, run_and_save
-from .metrics import PredictionSet, balanced_accuracy
+from .metrics import balanced_accuracy
 from .tree import (
     LearnerConfig,
     fit,
@@ -109,17 +106,10 @@ def _load_dataset(args):
     raise DataError(f"unknown dataset {name!r}")
 
 
-def _encoding_spec(family: str, sensitive: str) -> EncodingSpec:
-    table = DATASET_ENCODINGS.get("adult" if family == "csv" else family, {})
-    if sensitive in table:
-        return table[sensitive]
-    # generic form: raw:<attr> or a privileged definition like attr=value
-    if sensitive.startswith("raw:"):
-        return EncodingSpec("raw", sensitive[len("raw:"):])
-    if "=" in sensitive:
-        mode = "quaternary-intersection" if "&" in sensitive else "binary-privilege"
-        return EncodingSpec(mode, sensitive)
-    raise DataError(f"unknown sensitive encoding {sensitive!r}")
+def _definition(family: str, sensitive: str) -> str:
+    """A family's named encoding (csv files use Adult's names), else the text itself."""
+    named = DATASET_ENCODINGS.get("adult" if family == "csv" else family, {})
+    return named.get(sensitive, sensitive)
 
 
 def _parse_policy(text: str) -> InvalidPolicy:
@@ -158,12 +148,8 @@ def cmd_fit(args) -> int:
     tree = fit(train_ds, config)
     out = Path(args.out) if args.out else _out_dir(None) / "tree.json"
     save_tree(tree, out)
-    train_bacc = balanced_accuracy(
-        PredictionSet(train_ds.labels, predict_dataset(tree, train_ds), np.zeros(train_ds.n, int), 1)
-    )
-    test_bacc = balanced_accuracy(
-        PredictionSet(test_ds.labels, predict_dataset(tree, test_ds), np.zeros(test_ds.n, int), 1)
-    )
+    train_bacc = balanced_accuracy(train_ds.labels, predict_dataset(tree, train_ds))
+    test_bacc = balanced_accuracy(test_ds.labels, predict_dataset(tree, test_ds))
     print(f"tree written to {out}")
     print(f"height={tree.height} leaves={tree.n_leaves}")
     print(f"balanced accuracy: train={train_bacc:.4f} test={test_bacc:.4f}")
@@ -175,8 +161,7 @@ def cmd_fit(args) -> int:
 def cmd_audit(args) -> int:
     family, _, (test_ds, test_sens) = _load_dataset(args)
     tree = prune_redundant(load_tree(args.tree))
-    spec = _encoding_spec(family, args.sensitive)
-    sens_table = encode_sensitive(test_sens, spec)
+    sens_table = encode_sensitive(test_sens, _definition(family, args.sensitive))
     policy = _parse_policy(args.policy)
     mode, addr = _parse_curator_mode(args.curator)
 
@@ -236,8 +221,7 @@ def cmd_audit(args) -> int:
 
 def cmd_curator_serve(args) -> int:
     family, _, (test_ds, test_sens) = _load_dataset(args)
-    spec = _encoding_spec(family, args.sensitive)
-    sens_table = encode_sensitive(test_sens, spec)
+    sens_table = encode_sensitive(test_sens, _definition(family, args.sensitive))
     mode, addr = _parse_curator_mode(args.curator)
     if mode != "serve":
         raise ParameterError("curator-serve needs --curator serve=ADDR")
@@ -279,7 +263,7 @@ def cmd_experiment(args) -> int:
             config = dataclasses.replace(config, runs=args.runs)
 
     family, (train_ds, _), (test_ds, test_sens) = _load_dataset(args)
-    sens_table = encode_sensitive(test_sens, _encoding_spec(family, args.sensitive))
+    sens_table = encode_sensitive(test_sens, _definition(family, args.sensitive))
     paths = run_and_save(which, train_ds, test_ds, sens_table, config, _out_dir(args.out),
                          progress=True)
     for kind, path in paths.items():

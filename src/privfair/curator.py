@@ -159,7 +159,7 @@ class Curator:
         seed: int = 0,
         allow_exact: bool = False,
     ):
-        if len(sensitive.groups) != data.n:
+        if not np.array_equal(sensitive.instance_ids, data.instance_ids):
             raise DataError("sensitive table must align with the curator's data")
         self._data = data
         self._groups = np.asarray(sensitive.groups)

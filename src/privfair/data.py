@@ -9,6 +9,7 @@ same schemas ship with the repo for CI.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -96,7 +97,6 @@ class SensitiveTable:
     """Group assignment for one encoded sensitive attribute."""
 
     instance_ids: np.ndarray
-    attribute_name: str
     groups: np.ndarray
     group_names: tuple[str, ...]
 
@@ -140,85 +140,43 @@ class SensitiveSet:
         )
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    """How to turn raw sensitive columns into group indices.
+def encode_sensitive(sens: SensitiveSet, definition: str) -> SensitiveTable:
+    """Encode raw sensitive columns into one grouped attribute.
 
-    privileged_definition is predicate text: "race=White" for binary
-    privilege, "race=White&sex=Male" for the quaternary intersection, or a
-    bare attribute name for raw mode.
+    "raw:<attr>" factorizes the column as-is, in sorted value order.
+    Otherwise the definition is one or two attr=value clauses joined by "&":
+    each clause, in order, doubles the group index and adds 1 where the row
+    matches, so K is 2 or 4 and the fully privileged group is last. A group
+    that holds no row is refused.
     """
+    if definition.startswith("raw:"):
+        column = _sensitive_column(sens, definition[len("raw:"):].strip())
+        values, groups = np.unique(column, return_inverse=True)
+        names = tuple(str(v) for v in values)
+    else:
+        groups = np.zeros(len(sens.instance_ids), dtype=np.int64)
+        sides = []  # (non-match, match) name pair per clause
+        for part in definition.split("&"):
+            attr, eq, value = (text.strip() for text in part.partition("="))
+            if not eq:
+                raise DataError(f"{definition!r} is not raw:<attr> or attr=value clauses "
+                                "joined by &")
+            groups = 2 * groups + (_sensitive_column(sens, attr) == value)
+            sides.append((f"non-{value}", value))
+        if len(sides) > 2:
+            raise DataError(f"{definition!r} has {len(sides)} clauses; at most two are supported")
+        names = tuple("&".join(combo) for combo in itertools.product(*sides))
+    sizes = np.bincount(groups, minlength=len(names))
+    if not sizes.all():
+        empty = names[int(np.argmin(sizes))]  # the first group without a row
+        raise DataError(f"group {empty!r} of {definition!r} has no row")
+    return SensitiveTable(sens.instance_ids.copy(), groups.astype(np.int64, copy=False), names)
 
-    mode: str  # binary-privilege | quaternary-intersection | raw
-    privileged_definition: str
 
-    def __post_init__(self):
-        if self.mode not in ("binary-privilege", "quaternary-intersection", "raw"):
-            raise DataError(f"unknown encoding mode {self.mode!r}")
-
-
-def _parse_definition(definition: str) -> list[tuple[str, str]]:
-    clauses = []
-    for part in definition.split("&"):
-        part = part.strip()
-        if "=" not in part:
-            raise DataError(f"privileged clause {part!r} is not of the form attr=value")
-        attr, value = part.split("=", 1)
-        clauses.append((attr.strip(), value.strip()))
-    return clauses
-
-
-def encode_sensitive(sens: SensitiveSet, spec: EncodingSpec) -> SensitiveTable:
-    """Encode raw sensitive columns into a single grouped attribute.
-
-    binary-privilege gives K=2 with the privileged group at index 1;
-    quaternary-intersection gives K=4 indexed as 2*(first clause matches) +
-    (second clause matches), so the fully privileged group is index 3. raw
-    factorizes the named column as-is.
-    """
-    if spec.mode == "raw":
-        attr = spec.privileged_definition.strip()
-        if attr not in sens.raw:
-            raise DataError(f"sensitive attribute {attr!r} not available")
-        names, codes = np.unique(sens.raw[attr], return_inverse=True)
-        return SensitiveTable(
-            instance_ids=sens.instance_ids.copy(),
-            attribute_name=attr,
-            groups=codes.astype(np.int64),
-            group_names=tuple(str(v) for v in names),
-        )
-
-    clauses = _parse_definition(spec.privileged_definition)
-    for attr, _ in clauses:
-        if attr not in sens.raw:
-            raise DataError(f"sensitive attribute {attr!r} not available")
-    if spec.mode == "binary-privilege":
-        if len(clauses) != 1:
-            raise DataError("binary-privilege takes exactly one attr=value clause")
-        attr, value = clauses[0]
-        match = sens.raw[attr] == value
-        return SensitiveTable(
-            instance_ids=sens.instance_ids.copy(),
-            attribute_name=attr,
-            groups=match.astype(np.int64),
-            group_names=(f"non-{value}", value),
-        )
-    if len(clauses) != 2:
-        raise DataError("quaternary-intersection takes exactly two attr=value clauses")
-    (a1, v1), (a2, v2) = clauses
-    m1 = sens.raw[a1] == v1
-    m2 = sens.raw[a2] == v2
-    return SensitiveTable(
-        instance_ids=sens.instance_ids.copy(),
-        attribute_name=f"{a1}x{a2}",
-        groups=(2 * m1.astype(np.int64) + m2.astype(np.int64)),
-        group_names=(
-            f"non-{v1}&non-{v2}",
-            f"non-{v1}&{v2}",
-            f"{v1}&non-{v2}",
-            f"{v1}&{v2}",
-        ),
-    )
+def _sensitive_column(sens: SensitiveSet, attr: str) -> np.ndarray:
+    if attr not in sens.raw:
+        raise DataError(f"sensitive attribute {attr!r} not available")
+    return sens.raw[attr]
 
 
 def stratified_split(
@@ -595,21 +553,15 @@ def load_saved(csv_path, meta_path) -> tuple[Dataset, SensitiveSet]:
 
 
 # Named encodings used by the CLI and experiments, per dataset family.
-DATASET_ENCODINGS: dict[str, dict[str, EncodingSpec]] = {
-    "adult": {
-        "ethnicity": EncodingSpec("binary-privilege", "race=White"),
-        "sex": EncodingSpec("binary-privilege", "sex=Male"),
-        "sex-ethnicity": EncodingSpec("quaternary-intersection", "race=White&sex=Male"),
-    },
+DATASET_ENCODINGS: dict[str, dict[str, str]] = {
+    "adult": {"ethnicity": "race=White", "sex": "sex=Male", "sex-ethnicity": "race=White&sex=Male"},
     "compas": {
-        "ethnicity": EncodingSpec("binary-privilege", "race=Caucasian"),
-        "sex": EncodingSpec("binary-privilege", "sex=Male"),
-        "sex-ethnicity": EncodingSpec("quaternary-intersection", "race=Caucasian&sex=Male"),
+        "ethnicity": "race=Caucasian", "sex": "sex=Male", "sex-ethnicity": "race=Caucasian&sex=Male",
     },
     "german": {
         # privileged = lives in the original country of birth (not a foreign worker)
-        "ethnicity": EncodingSpec("binary-privilege", "foreign_worker=A202"),
-        "sex": EncodingSpec("binary-privilege", "gender=male"),
-        "sex-ethnicity": EncodingSpec("quaternary-intersection", "foreign_worker=A202&gender=male"),
+        "ethnicity": "foreign_worker=A202",
+        "sex": "gender=male",
+        "sex-ethnicity": "foreign_worker=A202&gender=male",
     },
 }

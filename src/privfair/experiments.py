@@ -137,9 +137,7 @@ def grid_search_tree(
                 feature_subsample=mode, criterion=space.criterion,
                 seed=seed * 1009 + fold_no,
             )
-            preds = PredictionSet(val.labels, predict_dataset(fit(train, config), val),
-                                  np.zeros(val.n, int), 1)
-            tuple_scores.append(balanced_accuracy(preds))
+            tuple_scores.append(balanced_accuracy(val.labels, predict_dataset(fit(train, config), val)))
     evaluated = tuple((params, float(np.mean(s))) for params, s in zip(params_list, scores))
     (height, leaves, mode), score = max(evaluated, key=lambda e: e[1])  # first best tuple
     final = fit(

@@ -92,12 +92,13 @@ def uar_minus_aaspe(true_sps, est_sps) -> float:
     return uar(true_sps, est_sps) - aaspe(true_sps, est_sps)
 
 
-def balanced_accuracy(preds: PredictionSet) -> float:
+def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Mean of the per-class recalls of the binary labels."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
     recalls = []
     for y in (0, 1):
-        mask = preds.y_true == y
+        mask = y_true == y
         if not mask.any():
             raise MetricError(f"class {y} absent from y_true; balanced accuracy undefined")
-        recalls.append(float(np.mean(preds.y_pred[mask] == y)))
+        recalls.append(float(np.mean(y_pred[mask] == y)))
     return float(np.mean(recalls))

@@ -5,6 +5,7 @@ import pytest
 
 from privfair import mechanisms as mech
 from privfair.data import Dataset, SensitiveTable
+from privfair.errors import DataError
 from privfair.tree import Leaf
 
 FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
@@ -30,7 +31,7 @@ def make_dataset(n=200, seed=0, p_group=0.3, k=2, label_noise=0.6):
     else:
         groups = rng.integers(0, k, n)
         names = tuple(f"g{i}" for i in range(k))
-    table = SensitiveTable(np.arange(n), "g", groups, names)
+    table = SensitiveTable(np.arange(n), groups, names)
     return ds, table
 
 
@@ -130,6 +131,41 @@ def replay(ledger):
     for entry in ledger.entries:
         total += entry.charged
     return total
+
+
+def reference_encode_sensitive(sens, mode, definition):
+    """The three-mode encoder that encode_sensitive replaced.
+
+    mode is "raw" (definition names a column to factorize),
+    "binary-privilege" (one attr=value clause; privileged group 1) or
+    "quaternary-intersection" (two clauses; group 2*first + second). A group
+    may be left without a row.
+    """
+    if mode == "raw":
+        attr = definition.strip()
+        if attr not in sens.raw:
+            raise DataError(f"sensitive attribute {attr!r} not available")
+        names, codes = np.unique(sens.raw[attr], return_inverse=True)
+        return SensitiveTable(sens.instance_ids.copy(), codes.astype(np.int64),
+                              tuple(str(v) for v in names))
+    clauses = []
+    for part in definition.split("&"):
+        attr, value = part.strip().split("=", 1)
+        if attr.strip() not in sens.raw:
+            raise DataError(f"sensitive attribute {attr.strip()!r} not available")
+        clauses.append((attr.strip(), value.strip()))
+    if mode == "binary-privilege":
+        assert len(clauses) == 1, definition
+        (a, v), = clauses
+        return SensitiveTable(sens.instance_ids.copy(), (sens.raw[a] == v).astype(np.int64),
+                              (f"non-{v}", v))
+    assert mode == "quaternary-intersection" and len(clauses) == 2, (mode, definition)
+    (a1, v1), (a2, v2) = clauses
+    m1, m2 = sens.raw[a1] == v1, sens.raw[a2] == v2
+    return SensitiveTable(
+        sens.instance_ids.copy(), 2 * m1.astype(np.int64) + m2.astype(np.int64),
+        (f"non-{v1}&non-{v2}", f"non-{v1}&{v2}", f"{v1}&non-{v2}", f"{v1}&{v2}"),
+    )
 
 
 def equalized_odds(preds):

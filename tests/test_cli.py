@@ -100,6 +100,18 @@ def test_audit_zero_budget_is_data_error(tree_file, capsys):
     assert "total_epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("definition, empty", [("gender=Male", "Male"), ("age=30", "30")])
+def test_audit_definition_matching_no_row_is_data_error(tree_file, definition, empty, capsys):
+    # the data holds "male", and age is numeric: both used to audit an empty
+    # privileged group and print a parity estimate
+    args = ["audit"] + german_args(["--tree", str(tree_file), "--sensitive", definition,
+                                    "--epsilon", "0.5", "--seed", "11"])
+    assert run_cli(args) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"group {empty!r} of {definition!r} has no row" in captured.err
+    assert "statistical parity estimate" not in captured.out
+
+
 def test_audit_golden_report(tree_file, tmp_path):
     out = tmp_path / "report.json"
     code = run_cli(audit_args(tree_file, ["--out", str(out)]))

@@ -17,7 +17,7 @@ from privfair.tree import RuleClause, SplitClause, rule_mask
 from conftest import FIXTURES, replay
 
 
-def fixed_curator(total_epsilon=1.0, seed=0, allow_exact=False):
+def fixed_tables():
     """Hand-built 20-row table with groups [0]*10 + [1]*10."""
     n = 20
     x = np.arange(n, dtype=float)
@@ -25,8 +25,19 @@ def fixed_curator(total_epsilon=1.0, seed=0, allow_exact=False):
     y = np.array([1, 0] * 10)
     ds = Dataset(np.arange(n), ("x", "c"), {"x": "numeric", "c": "categorical"},
                  {"x": x, "c": c}, y)
-    table = SensitiveTable(np.arange(n), "g", np.array([0] * 10 + [1] * 10), ("g0", "g1"))
-    return C.Curator(ds, table, total_epsilon=total_epsilon, seed=seed, allow_exact=allow_exact)
+    return ds, SensitiveTable(np.arange(n), np.array([0] * 10 + [1] * 10), ("g0", "g1"))
+
+
+def fixed_curator(total_epsilon=1.0, seed=0, allow_exact=False):
+    return C.Curator(*fixed_tables(), total_epsilon=total_epsilon, seed=seed, allow_exact=allow_exact)
+
+
+def test_curator_refuses_a_sensitive_table_on_other_rows():
+    """Equal lengths are not enough: permuted ids would attach groups to the wrong rows."""
+    ds, table = fixed_tables()
+    permuted = SensitiveTable(table.instance_ids[::-1], table.groups, table.group_names)
+    with pytest.raises(DataError, match="align"):
+        C.Curator(ds, permuted)
 
 
 def lt(feature, value, negated=False):
@@ -129,7 +140,7 @@ def neighbour_curator(rows):
     c = np.array([r[1] for r in rows])
     ds = Dataset(np.arange(len(rows)), ("x", "c"), {"x": "numeric", "c": "categorical"},
                  {"x": x, "c": c}, np.zeros(len(rows), dtype=int))
-    table = SensitiveTable(np.arange(len(rows)), "g", np.arange(len(rows)) % 2, ("g0", "g1"))
+    table = SensitiveTable(np.arange(len(rows)), np.arange(len(rows)) % 2, ("g0", "g1"))
     return C.Curator(ds, table, total_epsilon=1.0, seed=5)
 
 

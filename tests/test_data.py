@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import sys
 import threading
@@ -8,6 +9,8 @@ import pytest
 from privfair import binning as B
 from privfair import data as D
 from privfair.errors import DataError
+
+from conftest import reference_encode_sensitive
 
 CANONICAL_ADULT = __import__("pathlib").Path("data/adult.data")
 
@@ -226,7 +229,7 @@ def sens_set(**cols):
 
 def test_encode_binary_privilege():
     sens = sens_set(race=["White", "Black", "Asian", "White"])
-    table = D.encode_sensitive(sens, D.EncodingSpec("binary-privilege", "race=White"))
+    table = D.encode_sensitive(sens, "race=White")
     assert table.k == 2
     assert list(table.groups) == [1, 0, 0, 1]  # privileged is group 1
     assert table.group_names == ("non-White", "White")
@@ -236,16 +239,15 @@ def test_encode_quaternary_intersection():
     sens = sens_set(
         race=["White", "White", "Black", "Black"], sex=["Male", "Female", "Male", "Female"]
     )
-    table = D.encode_sensitive(
-        sens, D.EncodingSpec("quaternary-intersection", "race=White&sex=Male")
-    )
+    table = D.encode_sensitive(sens, "race=White&sex=Male")
     assert table.k == 4
     assert list(table.groups) == [3, 2, 1, 0]
+    assert table.group_names == ("non-White&non-Male", "non-White&Male", "White&non-Male", "White&Male")
 
 
 def test_encode_raw_keeps_arity():
     sens = sens_set(race=["a", "b", "c", "a"])
-    table = D.encode_sensitive(sens, D.EncodingSpec("raw", "race"))
+    table = D.encode_sensitive(sens, "raw:race")
     assert table.k == 3
     assert table.group_names == ("a", "b", "c")
 
@@ -253,7 +255,79 @@ def test_encode_raw_keeps_arity():
 def test_encode_absent_attribute_errors():
     sens = sens_set(race=["a", "b"])
     with pytest.raises(DataError, match="nope"):
-        D.encode_sensitive(sens, D.EncodingSpec("binary-privilege", "nope=a"))
+        D.encode_sensitive(sens, "nope=a")
+
+
+@pytest.mark.parametrize("definition", ["race", "race=a&sex", "race=a&sex=b&race=b"])
+def test_encode_malformed_definition_errors(definition):
+    sens = sens_set(race=["a", "b", "a", "b"], sex=["b", "b", "c", "c"])
+    with pytest.raises(DataError):
+        D.encode_sensitive(sens, definition)
+
+
+@pytest.mark.parametrize("definition, empty", [
+    ("race=A", "A"),  # no row matches: the value's case differs
+    ("age=30", "30"),  # a numeric column never equals the text
+    ("race=a&sex=c", "a&c"),
+])
+def test_encode_refuses_an_empty_group(definition, empty):
+    # a group without a row used to be audited as if it were there
+    sens = sens_set(race=["a", "b", "a", "b"], sex=["b", "b", "b", "c"], age=[30.0, 41.0, 30.0, 52.0])
+    with pytest.raises(DataError, match=f"group {empty!r} of {definition!r} has no row"):
+        D.encode_sensitive(sens, definition)
+
+
+def random_definition(rng, cols):
+    """(reference mode, definition); clause values mostly come from the column."""
+    names = list(cols)
+    shape = rng.random()
+    if shape < 0.2:
+        return "raw", f"raw:{rng.choice(names)}"
+    clauses = []
+    for attr in rng.permutation(names * 2)[: 1 if shape < 0.5 else 2]:  # may repeat a column
+        own = len(cols[attr]) and rng.random() < 0.8
+        clauses.append(f"{attr}={rng.choice(cols[attr]) if own else rng.choice(['a', 'zz'])}")
+    if rng.random() < 0.3:
+        clauses = [c.replace("=", " = ") + " " for c in clauses]
+    mode = "binary-privilege" if len(clauses) == 1 else "quaternary-intersection"
+    return mode, "&".join(clauses)
+
+
+def test_encode_matches_three_mode_reference():
+    """raw, one-clause and two-clause definitions give the old encoder's
+    groups, dtype, names and ids, and raise wherever it left a group empty."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    raised, compared = 0, collections.Counter()
+    for _ in range(1000):
+        n = int(rng.integers(0, 80))
+        cols = {}
+        for name in ("s0", "s1", "s2")[: int(rng.integers(1, 4))]:
+            if rng.random() < 0.2:
+                cols[name] = rng.integers(0, 3, n).astype(float)
+            else:
+                cats = rng.choice(["a", "b", "c"], size=int(rng.integers(2, 4)), replace=False)
+                cols[name] = rng.choice(cats, n)
+        sens = D.SensitiveSet(rng.permutation(n) + 100, cols)
+        mode, definition = random_definition(rng, cols)
+        try:
+            want = reference_encode_sensitive(
+                sens, mode, definition[len("raw:"):] if mode == "raw" else definition)
+        except DataError:
+            with pytest.raises(DataError):
+                D.encode_sensitive(sens, definition)
+            continue
+        if not np.bincount(want.groups, minlength=want.k).all():
+            with pytest.raises(DataError, match="has no row"):
+                D.encode_sensitive(sens, definition)
+            raised += 1
+            continue
+        got = D.encode_sensitive(sens, definition)
+        assert got.groups.tobytes() == want.groups.tobytes()
+        assert got.groups.dtype == want.groups.dtype == np.int64
+        assert got.group_names == want.group_names
+        assert np.array_equal(got.instance_ids, want.instance_ids)
+        compared[mode] += 1
+    assert raised > 200 and min(compared.values()) > 100, (raised, compared)
 
 
 def test_loader_ids_aligned(fixtures_dir):

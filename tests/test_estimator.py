@@ -198,7 +198,7 @@ def test_known_counts_fixture():
     x = np.array([1.0] * 6 + [0.0] * 4 + [1.0] * 3 + [0.0] * 7)
     y = x.astype(int)
     ds = Dataset(np.arange(n), ("x",), {"x": "numeric"}, {"x": x}, y)
-    table = SensitiveTable(np.arange(n), "g", np.array([1] * 10 + [0] * 10), ("u", "p"))
+    table = SensitiveTable(np.arange(n), np.array([1] * 10 + [0] * 10), ("u", "p"))
     root = T.Branch(T.SplitClause("x", "numeric", 0.5), leaf(0, 11, (11, 0)), leaf(1, 9, (0, 9)), n)
     tree = T.DecisionTree(root, {"x": "numeric"}, n)
     cur = curator_for(ds, table, budget=1.0)
