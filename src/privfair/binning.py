@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import CATEGORICAL, NUMERIC, Dataset
 from .errors import DataError, ParameterError
-from .tree import Leaf, LearnerConfig, fit
+from .tree import Branch, LearnerConfig, fit, walk
 
 
 def _round_half_away(x: float) -> int:
@@ -45,20 +45,6 @@ def _bin_labels(cuts) -> tuple[str, ...]:
     labels += [f"({a},{b}]" for a, b in zip(cuts[:-1], cuts[1:])]
     labels.append(f">{cuts[-1]}")
     return tuple(labels)
-
-
-def _collect_thresholds(tree) -> list[tuple[str, int, float]]:
-    out = []
-
-    def walk(node, depth):
-        if isinstance(node, Leaf):
-            return
-        out.append((node.clause.feature, depth, float(node.clause.value)))
-        walk(node.left, depth + 1)
-        walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
-    return out
 
 
 def bin_numeric_features(
@@ -95,8 +81,10 @@ def bin_numeric_features(
             grown = fit(sample, config)
         except DataError:
             continue
-        for feature, depth, value in _collect_thresholds(grown):
-            stats.setdefault((feature, depth), []).append(value)
+        for node, path in walk(grown.root):
+            if isinstance(node, Branch):
+                key = (node.clause.feature, len(path))
+                stats.setdefault(key, []).append(float(node.clause.value))
 
     per_feature: dict[str, FeatureBinning] = {}
     warnings: list[str] = []

@@ -24,7 +24,10 @@ and "!=" are accepted and canonicalized to negated "<" / "=". A "batch" frame
 carries a list of query frames and is answered by one "answers" frame, or by
 one refusal or error frame for the whole batch. A refusal frame carries the
 remaining budget and, unless the budget itself refused, a "reason" key
-("not-disjoint" or "missing-batch-id").
+("not-disjoint" or "missing-batch-id"). A query is parallel exactly when it
+carries a batch_id key; a null or empty id is refused as "missing-batch-id".
+The identity is a property of the request, not of a query: a query frame
+may name one, and every member of a batch frame must name the same one.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, SensitiveTable
+from .data import NUMERIC, Dataset, SensitiveTable
 from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
                      ProtocolError, RoutingError)
 from . import mechanisms as mech
@@ -79,16 +82,17 @@ class BudgetLedger:
 
     def charge_all(self, queries, digests) -> None:
         """Admit and record every query under its digest in order, or refuse
-        them all leaving the ledger untouched. A parallel query needs a batch
-        id and must hold the negation of a clause of every member already in
-        its batch: a clause and its negation split every row, NaN cells and
-        absent categories included, so no row is read to admit it."""
+        them all leaving the ledger untouched. A query with a batch_id is
+        parallel: the id must be nonempty and the query must hold the negation
+        of a clause of every member already in its batch. A clause and its
+        negation split every row, NaN cells and absent categories included,
+        so no row is read to admit it."""
         spent = self.spent
         batches: dict[str, tuple[float, int, dict]] = {}
         entries = []
         for q, digest in zip(queries, digests):
             increment, label = q.epsilon, SEQUENTIAL
-            if q.composition == PARALLEL:
+            if q.batch_id is not None:
                 if q.batch_id not in batches:
                     charged, members, held = self._batches.get(q.batch_id, (0.0, 0, {}))
                     batches[q.batch_id] = (charged, members, dict(held))
@@ -121,9 +125,7 @@ class CuratorQuery:
     epsilon: float
     mechanism: str
     delta: float = 0.0
-    composition: str = SEQUENTIAL
-    batch_id: str | None = None
-    identity: str = "default"
+    batch_id: str | None = None  # parallel composition within this batch; None = sequential
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -131,7 +133,7 @@ class CuratorQuery:
                 "clauses": [clause_to_wire(c) for c in self.clauses],
                 "epsilon": repr(float(self.epsilon)),
                 "mechanism": self.mechanism,
-                "composition": self.composition,
+                "composition": SEQUENTIAL if self.batch_id is None else PARALLEL,
                 "batch_id": self.batch_id,
             },
             sort_keys=True,
@@ -175,25 +177,24 @@ class Curator:
             self._ledgers[identity] = BudgetLedger(self._default_budget)
         return self._ledgers[identity]
 
-    def answer(self, query: CuratorQuery) -> CuratorAnswer:
+    def answer(self, query: CuratorQuery, identity: str = "default") -> CuratorAnswer:
         """Answer one query as a batch of one."""
-        return self.answer_batch([query])[0]
+        return self.answer_batch([query], identity)[0]
 
-    def answer_batch(self, queries) -> list[CuratorAnswer]:
-        """Atomic validate-charge-sample over the whole batch: the ledger admits
-        it from the clauses alone, and only then are masks built and noise
-        drawn, in batch order. A refusal or an invalid query anywhere charges
-        nothing, reads no row and consumes no randomness."""
+    def answer_batch(self, queries, identity: str = "default") -> list[CuratorAnswer]:
+        """Atomic validate-charge-sample over the whole batch, charged to the
+        identity's ledger: the ledger admits it from the clauses alone, and
+        only then are masks built and noise drawn, in batch order. A refusal
+        or an invalid query anywhere charges nothing, reads no row and
+        consumes no randomness."""
         queries = list(queries)
         with self._lock:
             # validate before the ledger is touched: an invalid query costs nothing
             params = [self._validate(q) for q in queries]
-            if len({q.identity for q in queries}) > 1:
-                raise ProtocolError("a batch must come from a single identity")
             if not queries:
                 return []
             digests = [q.digest() for q in queries]
-            self.ledger(queries[0].identity).charge_all(queries, digests)
+            self.ledger(identity).charge_all(queries, digests)
             masks = prefix_masks([q.clauses for q in queries], self._data)
             return [self._sample(q, p, mask, d)
                     for q, p, mask, d in zip(queries, params, masks, digests)]
@@ -215,8 +216,6 @@ class Curator:
                 raise DataError(f"feature {feature!r} is {kind}, not {rc.clause.kind}")
             if not isinstance(rc.clause.value, _NUMBERS if rc.clause.kind == NUMERIC else str):
                 raise DataError(f"bad value type {type(rc.clause.value).__name__} on {feature!r}")
-        if query.composition not in (SEQUENTIAL, PARALLEL):
-            raise ProtocolError(f"unknown composition class {query.composition!r}")
         return params
 
     def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
@@ -240,7 +239,7 @@ class Curator:
 def clause_to_wire(rc: RuleClause) -> dict:
     return {
         "feature": rc.clause.feature,
-        "op": "<" if rc.clause.kind == NUMERIC else "=",
+        "op": rc.clause.op,
         "value": rc.clause.value,
         "negated": bool(rc.negated),
     }
@@ -251,15 +250,9 @@ def clause_from_wire(d: dict) -> RuleClause:
     if not isinstance(d["feature"], str):
         raise ProtocolError("clause feature must be a string")
     negated = bool(d.get("negated", False))
-    if op == ">=":
-        op, negated = "<", not negated
-    elif op == "!=":
-        op, negated = "=", not negated
-    if op == "<":
-        return RuleClause(SplitClause(d["feature"], NUMERIC, float(d["value"])), negated)
-    if op == "=":
-        return RuleClause(SplitClause(d["feature"], CATEGORICAL, str(d["value"])), negated)
-    raise ProtocolError(f"unknown clause op {op!r}")
+    if op in (">=", "!="):
+        op, negated = {">=": "<", "!=": "="}[op], not negated
+    return RuleClause(SplitClause.from_op(d["feature"], op, d["value"]), negated)
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -276,7 +269,7 @@ def decode_frame(line: bytes) -> dict:
     return obj
 
 
-def query_to_frame(q: CuratorQuery) -> dict:
+def query_to_frame(q: CuratorQuery, identity: str = "default") -> dict:
     frame = {
         "type": "query",
         "predicate": [clause_to_wire(c) for c in q.clauses],
@@ -285,14 +278,15 @@ def query_to_frame(q: CuratorQuery) -> dict:
     }
     if q.delta:
         frame["delta"] = repr(float(q.delta))
-    if q.composition == PARALLEL:
+    if q.batch_id is not None:
         frame["batch_id"] = q.batch_id
-    if q.identity != "default":
-        frame["identity"] = q.identity
+    if identity != "default":
+        frame["identity"] = identity
     return frame
 
 
-def frame_to_query(frame: dict) -> CuratorQuery:
+def frame_to_query(frame: dict) -> tuple[CuratorQuery, str]:
+    """The query a frame carries and the identity that asks it."""
     try:
         clauses = tuple(clause_from_wire(c) for c in frame.get("predicate", []))
         epsilon = float(frame["epsilon"])
@@ -301,32 +295,30 @@ def frame_to_query(frame: dict) -> CuratorQuery:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad query frame: {exc}") from None
     batch_id = frame.get("batch_id")
+    if batch_id is None and "batch_id" in frame:
+        batch_id = ""  # any batch_id key marks the query parallel; the ledger refuses ""
     identity = frame.get("identity", "default")
     if not isinstance(batch_id, (str, type(None))) or not isinstance(identity, str):
         raise ProtocolError("batch_id and identity must be strings")
-    return CuratorQuery(
-        clauses=clauses,
-        epsilon=epsilon,
-        mechanism=mechanism,
-        delta=delta,
-        # any batch_id key marks the query parallel; the ledger refuses a null or "" id
-        composition=PARALLEL if "batch_id" in frame else SEQUENTIAL,
-        batch_id=batch_id,
-        identity=identity,
-    )
+    return CuratorQuery(clauses, epsilon, mechanism, delta, batch_id), identity
 
 
-def batch_to_frame(queries) -> dict:
-    return {"type": "batch", "queries": [query_to_frame(q) for q in queries]}
+def batch_to_frame(queries, identity: str = "default") -> dict:
+    return {"type": "batch", "queries": [query_to_frame(q, identity) for q in queries]}
 
 
-def frame_to_batch(frame: dict) -> list[CuratorQuery]:
-    queries = frame.get("queries")
-    if not isinstance(queries, list) or not all(
-        isinstance(q, dict) and q.get("type") == "query" for q in queries
+def frame_to_batch(frame: dict) -> tuple[list[CuratorQuery], str]:
+    """The queries a batch frame carries and the one identity that asks them."""
+    members = frame.get("queries")
+    if not isinstance(members, list) or not all(
+        isinstance(q, dict) and q.get("type") == "query" for q in members
     ):
         raise ProtocolError("a batch frame carries a list of query frames")
-    return [frame_to_query(q) for q in queries]
+    decoded = [frame_to_query(q) for q in members]
+    identities = {identity for _, identity in decoded} or {"default"}
+    if len(identities) > 1:
+        raise ProtocolError("a batch must come from a single identity")
+    return [q for q, _ in decoded], identities.pop()
 
 
 def answer_to_frame(a: CuratorAnswer) -> dict:
@@ -364,9 +356,9 @@ def process_frame(curator: Curator, frame_line: bytes) -> dict:
     try:
         frame = decode_frame(frame_line)
         if frame["type"] == "query":
-            return answer_to_frame(curator.answer(frame_to_query(frame)))
+            return answer_to_frame(curator.answer(*frame_to_query(frame)))
         if frame["type"] == "batch":
-            answers = curator.answer_batch(frame_to_batch(frame))
+            answers = curator.answer_batch(*frame_to_batch(frame))
             return {"type": "answers", "answers": [answer_to_frame(a) for a in answers]}
         raise ProtocolError(f"unexpected frame type {frame['type']!r}")
     except BudgetRefusal as exc:
@@ -386,11 +378,7 @@ class InProcessClient:
         self.identity = identity
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
-        return self._curator.answer_batch([_as_identity(q, self.identity) for q in queries])
-
-
-def _as_identity(query: CuratorQuery, identity: str) -> CuratorQuery:
-    return query if query.identity == identity else replace(query, identity=identity)
+        return self._curator.answer_batch(queries, self.identity)
 
 
 class _CuratorHandler(socketserver.StreamRequestHandler):
@@ -445,11 +433,11 @@ class WireClient:
         self._file = self._sock.makefile("rb")
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        request = query_to_frame(_as_identity(query, self.identity))
+        request = query_to_frame(query, self.identity)
         return frame_to_answer(self._exchange(request, "answer"))
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
-        request = batch_to_frame([_as_identity(q, self.identity) for q in queries])
+        request = batch_to_frame(queries, self.identity)
         answers = self._exchange(request, "answers").get("answers")
         if not isinstance(answers, list) or len(answers) != len(request["queries"]):
             raise ProtocolError("the answers frame does not match the batch")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curator import PARALLEL, SEQUENTIAL, CuratorQuery
+from .curator import CuratorQuery
 from .errors import DegenerateEstimateError, ParameterError
 from .tree import DecisionTree, favorable_rules, prune_redundant
 
@@ -113,8 +113,8 @@ def estimate_sp(
     if batch_id is None:
         # a fresh nonce per audit, so a repeat audit opens a batch of its own
         batch_id = f"rules-{secrets.token_hex(8)}"
-    queries = [CuratorQuery((), half, mechanism, delta, SEQUENTIAL)]
-    queries += [CuratorQuery(rule.clauses, half, mechanism, delta, PARALLEL, batch_id)
+    queries = [CuratorQuery((), half, mechanism, delta)]
+    queries += [CuratorQuery(rule.clauses, half, mechanism, delta, batch_id)
                 for rule in rules]
     taut_answer, *rule_answers = client.ask_batch(queries)
     k = taut_answer.k

@@ -36,7 +36,7 @@ from .tree import DecisionTree, LearnerConfig, fit, predict_dataset, prune_redun
 def welch_t_test(sample_a, sample_b, alternative: str = "two-sided") -> tuple[float, float]:
     """Welch t statistic with Welch-Satterthwaite degrees of freedom.
 
-    alternative "less" tests mean(a) < mean(b), "greater" the reverse.
+    alternative "less" tests mean(a) < mean(b).
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -53,8 +53,6 @@ def welch_t_test(sample_a, sample_b, alternative: str = "two-sided") -> tuple[fl
         p = 2.0 * float(_scipy_stats.t.sf(abs(t), df))
     elif alternative == "less":
         p = float(_scipy_stats.t.cdf(t, df))
-    elif alternative == "greater":
-        p = float(_scipy_stats.t.sf(t, df))
     else:
         raise ParameterError(f"unknown alternative {alternative!r}")
     return t, p

@@ -20,6 +20,8 @@ from .data import CATEGORICAL, NUMERIC, Dataset
 from .errors import DataError, ParameterError, RoutingError
 
 _GAIN_TOL = 1e-12
+# how tree files and wire frames spell each clause kind; SplitClause.op is the inverse
+_OP_KINDS = {"<": NUMERIC, "=": CATEGORICAL}
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,19 @@ class SplitClause:
     feature: str
     kind: str  # NUMERIC | CATEGORICAL
     value: float | str
+
+    @property
+    def op(self) -> str:
+        return "<" if self.kind == NUMERIC else "="
+
+    @classmethod
+    def from_op(cls, feature: str, op: str, value) -> "SplitClause":
+        """The clause spelled `feature op value`; DataError on an op other than
+        "<" or "=", ValueError or TypeError on a value the op cannot take."""
+        kind = _OP_KINDS.get(op) if isinstance(op, str) else None
+        if kind is None:
+            raise DataError(f"unknown clause op {op!r}")
+        return cls(feature, kind, float(value) if kind == NUMERIC else str(value))
 
     def mask(self, data: Dataset, idx: np.ndarray | None = None) -> np.ndarray:
         if self.feature not in data.columns:
@@ -121,17 +136,23 @@ class DecisionTree:
 
     @property
     def height(self) -> int:
-        def h(node):
-            return 0 if isinstance(node, Leaf) else 1 + max(h(node.left), h(node.right))
-
-        return h(self.root)
+        return max(len(path) for _, path in walk(self.root))
 
     @property
     def n_leaves(self) -> int:
-        def c(node):
-            return 1 if isinstance(node, Leaf) else c(node.left) + c(node.right)
+        return sum(isinstance(node, Leaf) for node, _ in walk(self.root))
 
-        return c(self.root)
+
+def walk(node, path=()):
+    """Yield (node, root-to-node clauses) for every node of a subtree, depth
+    first, left before right; right branches contribute negated clauses."""
+    stack = [(node, path)]  # one generator for the whole walk, not one per level
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        if isinstance(node, Branch):
+            stack.append((node.right, path + (RuleClause(node.clause, True),)))
+            stack.append((node.left, path + (RuleClause(node.clause, False),)))
 
 
 @dataclass(frozen=True)
@@ -331,17 +352,8 @@ def extract_rules(tree: DecisionTree) -> list[RulePredicate]:
     A single-leaf tree yields one empty-conjunction rule that applies to
     everyone.
     """
-    rules: list[RulePredicate] = []
-
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            rules.append(RulePredicate(tuple(path), node.klass))
-            return
-        walk(node.left, path + [RuleClause(node.clause, False)])
-        walk(node.right, path + [RuleClause(node.clause, True)])
-
-    walk(tree.root, [])
-    return rules
+    return [RulePredicate(path, node.klass) for node, path in walk(tree.root)
+            if isinstance(node, Leaf)]
 
 
 def favorable_rules(tree: DecisionTree) -> list[RulePredicate]:
@@ -393,7 +405,7 @@ def to_record(tree: DecisionTree) -> dict:
         return {
             "type": "split",
             "feature": node.clause.feature,
-            "op": "<" if node.clause.kind == NUMERIC else "=",
+            "op": node.clause.op,
             "value": node.clause.value,
             "count": node.count,
             "left": rec(node.left),
@@ -408,9 +420,8 @@ def from_record(record: dict) -> DecisionTree:
         if d["type"] == "leaf":
             c0, c1 = d["class_counts"]
             return Leaf(int(d["class"]), int(d["count"]), (int(c0), int(c1)))
-        kind = NUMERIC if d["op"] == "<" else CATEGORICAL
-        value = float(d["value"]) if kind == NUMERIC else str(d["value"])
-        return Branch(SplitClause(d["feature"], kind, value), rec(d["left"]), rec(d["right"]), int(d["count"]))
+        clause = SplitClause.from_op(d["feature"], d["op"], d["value"])
+        return Branch(clause, rec(d["left"]), rec(d["right"]), int(d["count"]))
 
     return DecisionTree(rec(record["root"]), dict(record["feature_kinds"]), int(record["n_train"]))
 
@@ -422,27 +433,29 @@ def save_tree(tree: DecisionTree, path) -> None:
 
 
 def load_tree(path) -> DecisionTree:
+    """Read a tree file; DataError names the fault of a malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return from_record(json.load(fh))
+        try:
+            return from_record(json.load(fh))
+        except KeyError as exc:
+            raise DataError(f"tree file {path} lacks the field {exc}") from None
+        except (ValueError, TypeError) as exc:  # not JSON or not UTF-8, or a bad field
+            raise DataError(f"tree file {path}: {exc}") from None
 
 
 def to_text(tree: DecisionTree) -> str:
     """Human-readable one-node-per-line form, for display."""
     lines = [f"tree n_train={tree.n_train} features={json.dumps(tree.feature_kinds, sort_keys=True)}"]
 
-    def rec(node, depth):
-        pad = "  " * depth
+    for node, path in walk(tree.root):
+        pad = "  " * len(path)
         if isinstance(node, Leaf):
             lines.append(
                 f"{pad}leaf class={node.klass} n={node.count} "
                 f"counts={node.class_counts[0]}/{node.class_counts[1]}"
             )
-            return
-        op = "<" if node.clause.kind == NUMERIC else "="
-        value = json.dumps(node.clause.value)
-        lines.append(f"{pad}split {node.clause.feature} {op} {value} n={node.count}")
-        rec(node.left, depth + 1)
-        rec(node.right, depth + 1)
-
-    rec(tree.root, 0)
+        else:
+            clause = node.clause
+            lines.append(f"{pad}split {clause.feature} {clause.op} {json.dumps(clause.value)} "
+                         f"n={node.count}")
     return "\n".join(lines) + "\n"

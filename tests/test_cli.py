@@ -100,6 +100,24 @@ def test_audit_zero_budget_is_data_error(tree_file, capsys):
     assert "total_epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle, fault", [
+    (lambda record: record["root"].update(op="<="), "unknown clause op '<='"),
+    (lambda record: record.pop("root"), "lacks the field 'root'"),
+    (None, "tree file"),
+], ids=["op-le", "no-root", "not-json"])
+def test_audit_malformed_tree_file_is_data_error(tree_file, tmp_path, mangle, fault, capsys):
+    # these used to audit a categorical split on "<=" or die with a traceback
+    broken = tmp_path / "broken.json"
+    if mangle is None:
+        broken.write_text("not json\n")
+    else:
+        record = json.loads(tree_file.read_text())
+        mangle(record)
+        broken.write_text(json.dumps(record))
+    assert run_cli(audit_args(broken)) == cli.EXIT_DATA
+    assert fault in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("definition, empty", [("gender=Male", "Male"), ("age=30", "30")])
 def test_audit_definition_matching_no_row_is_data_error(tree_file, definition, empty, capsys):
     # the data holds "male", and age is numeric: both used to audit an empty

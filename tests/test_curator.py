@@ -114,8 +114,7 @@ def test_parallel_batch_of_eight_single_charge():
     # the eight leaves of a depth-3 split on x, in one batch, cost one 0.5 charge
     cur = fixed_curator(total_epsilon=1.0, seed=2)
     for clauses in split_leaves(0.0, 20.0, 3):
-        cur.answer(C.CuratorQuery(clauses, 0.5, "laplace",
-                                  composition=C.PARALLEL, batch_id="b1"))
+        cur.answer(C.CuratorQuery(clauses, 0.5, "laplace", batch_id="b1"))
     assert cur.ledger().spent == pytest.approx(0.5)
     assert len(cur.ledger().entries) == 8
 
@@ -123,16 +122,14 @@ def test_parallel_batch_of_eight_single_charge():
 def test_parallel_requires_batch_id():
     cur = fixed_curator()
     with pytest.raises(BudgetRefusal):
-        cur.answer(C.CuratorQuery((), 0.1, "laplace", composition=C.PARALLEL))
+        cur.answer(C.CuratorQuery((), 0.1, "laplace", batch_id=""))
 
 
 def test_parallel_overlapping_predicates_refused():
     cur = fixed_curator(total_epsilon=5.0, seed=3)
-    cur.answer(C.CuratorQuery((lt("x", 8.0),), 0.5, "laplace",
-                              composition=C.PARALLEL, batch_id="b2"))
+    cur.answer(C.CuratorQuery((lt("x", 8.0),), 0.5, "laplace", batch_id="b2"))
     with pytest.raises(BudgetRefusal):
-        cur.answer(C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace",
-                                  composition=C.PARALLEL, batch_id="b2"))
+        cur.answer(C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace", batch_id="b2"))
 
 
 def neighbour_curator(rows):
@@ -153,9 +150,8 @@ def test_parallel_disjointness_is_decided_without_the_rows(rows):
     # under both; answering one neighbour and refusing the other would leak
     cur = neighbour_curator(rows)
     with pytest.raises(BudgetRefusal):
-        cur.answer_batch([C.CuratorQuery(clauses, 0.5, "laplace", composition=C.PARALLEL,
-                                         batch_id="b") for clauses in [(lt("x", 5.0),),
-                                                                       (eq("c", "a"),)]])
+        cur.answer_batch([C.CuratorQuery(clauses, 0.5, "laplace", batch_id="b")
+                          for clauses in [(lt("x", 5.0),), (eq("c", "a"),)]])
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
 
@@ -167,10 +163,8 @@ def test_refused_parallel_batch_reads_no_row(monkeypatch):
     monkeypatch.setattr(C, "prefix_masks", no_rows)
     cur = fixed_curator(seed=3)
     with pytest.raises(BudgetRefusal):
-        cur.answer_batch([C.CuratorQuery((lt("x", 8.0),), 0.5, "laplace", composition=C.PARALLEL,
-                                         batch_id="b"),
-                          C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace", composition=C.PARALLEL,
-                                         batch_id="b")])
+        cur.answer_batch([C.CuratorQuery((lt("x", 8.0),), 0.5, "laplace", batch_id="b"),
+                          C.CuratorQuery((lt("x", 3.0),), 0.5, "laplace", batch_id="b")])
     assert cur.ledger().entries == []
 
 
@@ -193,7 +187,7 @@ def test_admitted_batch_members_are_disjoint_on_any_table(a, b, x, data):
     c = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=len(x), max_size=len(x)))
     ds = Dataset(np.arange(len(x)), ("x", "c"), {"x": "numeric", "c": "categorical"},
                  {"x": np.array(x), "c": np.array(c)}, np.zeros(len(x), dtype=int))
-    queries = [C.CuratorQuery(clauses, 0.5, "laplace", composition=C.PARALLEL, batch_id="b")
+    queries = [C.CuratorQuery(clauses, 0.5, "laplace", batch_id="b")
                for clauses in (a, b)]
     try:
         C.BudgetLedger(1.0).charge_all(queries, ["a", "b"])
@@ -244,11 +238,13 @@ def test_answer_deterministic_under_seed_and_order():
 
 def test_per_identity_budgets():
     cur = fixed_curator(total_epsilon=0.5, seed=13)
-    cur.answer(C.CuratorQuery((), 0.5, "laplace", identity="alice"))
+    cur.answer(C.CuratorQuery((), 0.5, "laplace"), "alice")
     with pytest.raises(BudgetRefusal):
-        cur.answer(C.CuratorQuery((), 0.1, "laplace", identity="alice"))
-    # bob has his own ledger
-    cur.answer(C.CuratorQuery((), 0.5, "laplace", identity="bob"))
+        cur.answer(C.CuratorQuery((), 0.1, "laplace"), "alice")
+    # a second identity has a ledger of its own
+    cur.answer(C.CuratorQuery((), 0.5, "laplace"), "bob")
+    assert cur.ledger("alice").spent == cur.ledger("bob").spent == 0.5
+    assert cur.ledger().entries == []
 
 
 def test_ledger_monotone_and_replayable():
@@ -273,7 +269,7 @@ def audit_queries(batch_id="b"):
         ((lt("x", 10.0, True), eq("c", "a", True)), "laplace", 0.0),
     ]
     return [C.CuratorQuery((), 0.25, "laplace")] + [
-        C.CuratorQuery(clauses, 0.25, mechanism, delta, C.PARALLEL, batch_id)
+        C.CuratorQuery(clauses, 0.25, mechanism, delta, batch_id)
         for clauses, mechanism, delta in parts
     ]
 
@@ -299,21 +295,17 @@ def test_answer_batch_matches_one_by_one(seed):
 @pytest.mark.parametrize(
     "last, error",
     [
-        (C.CuratorQuery((lt("zz", 1.0),), 0.25, "laplace", composition=C.PARALLEL,
-                        batch_id="b"), KeyError),
+        (C.CuratorQuery((lt("zz", 1.0),), 0.25, "laplace", batch_id="b"), KeyError),
         (C.CuratorQuery((), 0.25, "exact"), MechanismError),
         (C.CuratorQuery((), 1.5, "gaussian", delta=1e-5), ParameterError),
-        (C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
-                        batch_id="b"), BudgetRefusal),
-        (C.CuratorQuery((), 0.25, "laplace", composition=C.PARALLEL), BudgetRefusal),
+        (C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b"), BudgetRefusal),
+        (C.CuratorQuery((), 0.25, "laplace", batch_id=""), BudgetRefusal),
         (C.CuratorQuery((), 0.6, "laplace"), BudgetRefusal),
-        (C.CuratorQuery((), 0.25, "laplace", identity="other"), ProtocolError),
         (C.CuratorQuery((lt("x", "3"),), 0.25, "laplace"), DataError),
-        (C.CuratorQuery((eq("c", ["a"]),), 0.25, "laplace", composition=C.PARALLEL,
-                        batch_id="b"), DataError),
+        (C.CuratorQuery((eq("c", ["a"]),), 0.25, "laplace", batch_id="b"), DataError),
     ],
     ids=["unknown-feature", "gated-mechanism", "gaussian-limit", "overlapping",
-         "missing-batch-id", "over-budget", "mixed-identity", "non-numeric-threshold",
+         "missing-batch-id", "over-budget", "non-numeric-threshold",
          "unhashable-category"],
 )
 def test_batch_with_a_bad_last_query_charges_nothing_and_draws_no_noise(last, error):
@@ -369,15 +361,12 @@ def test_clause_wire_accepts_ge_and_ne():
 
 
 def test_query_frame_roundtrip():
-    q = C.CuratorQuery((lt("x", 2.0), eq("c", "b", True)), 0.25, "laplace",
-                       composition=C.PARALLEL, batch_id="batch-7")
+    q = C.CuratorQuery((lt("x", 2.0), eq("c", "b", True)), 0.25, "laplace", batch_id="batch-7")
     frame = C.query_to_frame(q)
     assert frame["epsilon"] == "0.25"
-    q2 = C.frame_to_query(frame)
-    assert q2.clauses == q.clauses
-    assert q2.epsilon == q.epsilon
-    assert q2.batch_id == "batch-7"
-    assert q2.composition == C.PARALLEL
+    assert C.frame_to_query(frame) == (q, "default")
+    assert "identity" not in frame
+    assert C.frame_to_query(C.query_to_frame(q, "alice")) == (q, "alice")
 
 
 def test_counts_travel_as_decimal_strings():
@@ -562,8 +551,7 @@ def test_batch_frame_gets_one_answers_frame():
 
 def test_refused_batch_frame_charges_nothing():
     cur = fixed_curator(total_epsilon=1.0, seed=67)
-    overlapping = C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
-                                 batch_id="b")
+    overlapping = C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b")
     reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(audit_queries() + [overlapping])))
     assert reply == C.refusal_frame(1.0, "not-disjoint")
     assert cur.ledger().spent == 0.0
@@ -590,18 +578,37 @@ def test_malformed_batch_frame_gets_error_frame(frame):
     assert cur.ledger().entries == []
 
 
+def test_batch_frame_from_two_identities_gets_an_error_and_charges_nothing():
+    cur = fixed_curator(total_epsilon=1.0, seed=43)
+    frame = C.batch_to_frame(audit_queries())
+    frame["queries"].append(C.query_to_frame(C.CuratorQuery((), 0.25, "laplace"), "other"))
+    reply = C.process_frame(cur, C.encode_frame(frame))
+    assert reply == C.error_frame("a batch must come from a single identity")
+    for identity in ("default", "other"):
+        assert cur.ledger(identity).spent == 0.0
+        assert cur.ledger(identity).entries == []
+    # no noise was drawn: the next audit answers as on a fresh curator
+    fresh = fixed_curator(total_epsilon=1.0, seed=43)
+    got = cur.answer_batch(audit_queries())
+    want = fresh.answer_batch(audit_queries())
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("batch_id", [None, ""], ids=["null", "empty"])
 def test_batch_id_key_keeps_the_parallel_flag_on_the_wire(batch_id):
     cur = fixed_curator(total_epsilon=1.0)
-    reply = C.process_frame(cur, raw_query_frame(epsilon="0.5", batch_id=batch_id))
-    assert reply["type"] == "refusal"
+    line = raw_query_frame(epsilon="0.5", batch_id=batch_id)
+    reply = C.process_frame(cur, line)
+    assert reply == C.refusal_frame(1.0, "missing-batch-id")
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
-    # the in-process curator refuses the same query
-    query = C.CuratorQuery((), 0.5, "laplace", composition=C.PARALLEL, batch_id=batch_id)
-    with pytest.raises(BudgetRefusal):
-        cur.answer(query)
-    assert C.process_frame(cur, C.encode_frame(C.query_to_frame(query)))["type"] == "refusal"
+    # the in-process curator refuses the query that the frame decodes to
+    query, identity = C.frame_to_query(C.decode_frame(line))
+    assert query.batch_id == ""
+    with pytest.raises(BudgetRefusal) as exc:
+        cur.answer(query, identity)
+    assert exc.value.reason == "missing-batch-id"
+    assert C.process_frame(cur, C.encode_frame(C.query_to_frame(query))) == reply
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +617,8 @@ def test_batch_id_key_keeps_the_parallel_flag_on_the_wire(batch_id):
 def transcript_queries():
     return [
         C.CuratorQuery((), 0.25, "laplace"),
-        C.CuratorQuery((lt("x", 5.0),), 0.25, "laplace", composition=C.PARALLEL, batch_id="b-1"),
-        C.CuratorQuery((lt("x", 5.0, True), eq("c", "a")), 0.25, "laplace",
-                       composition=C.PARALLEL, batch_id="b-1"),
+        C.CuratorQuery((lt("x", 5.0),), 0.25, "laplace", batch_id="b-1"),
+        C.CuratorQuery((lt("x", 5.0, True), eq("c", "a")), 0.25, "laplace", batch_id="b-1"),
         C.CuratorQuery((), 2.0, "laplace"),          # over budget -> refusal
         C.CuratorQuery((), 0.25, "exact"),           # gated stub -> error
     ]
@@ -691,8 +697,7 @@ def test_parallel_batch_charges_the_maximum_epsilon():
     parts = [(lt("x", 5.0),), (lt("x", 5.0, True), lt("x", 10.0)),
              (lt("x", 5.0, True), lt("x", 10.0, True))]
     for clauses, eps in zip(parts, (0.2, 0.5, 0.3)):
-        cur.answer(C.CuratorQuery(clauses, eps, "laplace",
-                                  composition=C.PARALLEL, batch_id="bmax"))
+        cur.answer(C.CuratorQuery(clauses, eps, "laplace", batch_id="bmax"))
     assert cur.ledger().spent == pytest.approx(0.5)
     assert replay(cur.ledger()) == cur.ledger().spent
 
@@ -723,9 +728,8 @@ def test_wire_ask_batch_matches_in_process():
 
 REFUSALS = [
     ("budget", C.CuratorQuery((), 2.0, "laplace")),
-    ("not-disjoint", C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", composition=C.PARALLEL,
-                                    batch_id="b")),
-    ("missing-batch-id", C.CuratorQuery((), 0.25, "laplace", composition=C.PARALLEL)),
+    ("not-disjoint", C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b")),
+    ("missing-batch-id", C.CuratorQuery((), 0.25, "laplace", batch_id="")),
 ]
 
 

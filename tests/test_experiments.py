@@ -81,6 +81,12 @@ def test_welch_needs_two_values():
         X.welch_t_test([1.0], [2.0, 3.0])
 
 
+@pytest.mark.parametrize("alternative", ["greater", "two_sided"])
+def test_welch_unknown_alternative_is_refused(alternative):
+    with pytest.raises(ParameterError):
+        X.welch_t_test([1.0, 2.0, 3.0], [2.0, 3.0, 5.0], alternative)
+
+
 # ---------------------------------------------------------------------------
 # grid search
 

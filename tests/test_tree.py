@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -390,6 +391,47 @@ def test_save_load_tree_file(tmp_path):
     first = path.read_bytes()
     T.save_tree(T.load_tree(path), path)
     assert path.read_bytes() == first
+
+
+def split_tree():
+    inner = T.Branch(T.SplitClause("age", "numeric", 3.5), T.Leaf(0, 2, (2, 0)),
+                     T.Leaf(1, 1, (0, 1)), 3)
+    root = T.Branch(T.SplitClause("race", "categorical", "a"), inner, T.Leaf(1, 2, (0, 2)), 5)
+    return T.DecisionTree(root, {"race": "categorical", "age": "numeric"}, 5)
+
+
+def test_walk_is_depth_first_left_before_right():
+    tree = split_tree()
+    race, age = tree.root.clause, tree.root.left.clause
+    got = [(type(node).__name__, path) for node, path in T.walk(tree.root)]
+    assert got == [
+        ("Branch", ()),
+        ("Branch", (T.RuleClause(race, False),)),
+        ("Leaf", (T.RuleClause(race, False), T.RuleClause(age, False))),
+        ("Leaf", (T.RuleClause(race, False), T.RuleClause(age, True))),
+        ("Leaf", (T.RuleClause(race, True),)),
+    ]
+    assert (tree.height, tree.n_leaves) == (2, 3)
+
+
+def malformed_tree_files():
+    """(file text, fault the refusal names) for three broken tree files."""
+    record = T.to_record(split_tree())
+    inner_le = {**record, "root": {**record["root"], "left": {**record["root"]["left"], "op": "<="}}}
+    no_root = {k: v for k, v in record.items() if k != "root"}
+    return [(json.dumps(inner_le), "unknown clause op '<='"),
+            (json.dumps(no_root), "lacks the field 'root'"),
+            ("not json\n", "tree file")]
+
+
+@pytest.mark.parametrize("text, fault", malformed_tree_files(), ids=["op-le", "no-root", "not-json"])
+def test_load_tree_refuses_a_malformed_file(tmp_path, text, fault):
+    # "<=" used to load as a categorical split on the string "3.5"; the
+    # other two died with a KeyError and a JSONDecodeError
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=fault):
+        T.load_tree(path)
 
 
 def test_fit_gini_criterion_works():
