@@ -37,6 +37,7 @@ from .errors import (
 )
 from .estimator import InvalidPolicy, estimate_sp
 from .experiments import config_from_manifest, preset_config, run_and_save
+from .mechanisms import EXACT, MECHANISMS
 from .metrics import balanced_accuracy
 from .tree import (
     LearnerConfig,
@@ -298,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ethnicity | sex | sex-ethnicity | raw:<attr> | attr=value[&attr=value]")
     p_audit.add_argument("--epsilon", type=float, required=True)
     p_audit.add_argument("--delta", type=float, default=0.0)
-    p_audit.add_argument("--mechanism", choices=("laplace", "exponential", "gaussian", "exact"),
-                         default="laplace")
+    p_audit.add_argument("--mechanism", choices=MECHANISMS + (EXACT,), default="laplace")
     p_audit.add_argument("--policy", default="uniform,uniform",
                          help="<negative-rule>,<too-large-rule>")
     p_audit.add_argument("--curator", default="inproc", help="inproc | connect=HOST:PORT")

@@ -19,15 +19,17 @@ so tree rules in depth-first order evaluate each shared prefix once.
 
 Wire protocol: newline-delimited UTF-8 frames, one JSON object per line with
 sorted keys, at most MAX_FRAME_BYTES each. epsilon/delta and answer counts
-travel as decimal strings to avoid float round-trip drift. Clause ops ">="
-and "!=" are accepted and canonicalized to negated "<" / "=". A "batch" frame
-carries a list of query frames and is answered by one "answers" frame, or by
-one refusal or error frame for the whole batch. A refusal frame carries the
-remaining budget and, unless the budget itself refused, a "reason" key
-("not-disjoint" or "missing-batch-id"). A query is parallel exactly when it
-carries a batch_id key; a null or empty id is refused as "missing-batch-id".
-The identity is a property of the request, not of a query: a query frame
-may name one, and every member of a batch frame must name the same one.
+travel as decimal strings to avoid float round-trip drift. A clause field of
+the wrong JSON type is refused, never coerced (SplitClause.from_op); clause
+ops ">=" and "!=" are accepted and canonicalized to negated "<" / "=". A
+"batch" frame carries a list of query frames and is answered by one
+"answers" frame, or by one refusal or error frame for the whole batch. A
+refusal frame carries the remaining budget and, unless the budget itself
+refused, a "reason" key ("not-disjoint" or "missing-batch-id"). A query is
+parallel exactly when it carries a batch_id key; a null or empty id is
+refused as "missing-batch-id". The identity is a property of the request,
+not of a query: a query frame may name one, and every member of a batch
+frame must name the same one.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .data import NUMERIC, Dataset, SensitiveTable
 from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
                      ProtocolError, RoutingError)
 from . import mechanisms as mech
-from .tree import RuleClause, SplitClause, prefix_masks
+from .tree import SplitClause, prefix_masks
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -97,8 +99,7 @@ class BudgetLedger:
                     charged, members, held = self._batches.get(q.batch_id, (0.0, 0, {}))
                     batches[q.batch_id] = (charged, members, dict(held))
                 charged, members, held = batches[q.batch_id]
-                literals = [(rc.clause.feature, rc.clause.kind, rc.clause.value, rc.negated)
-                            for rc in q.clauses]
+                literals = [(c.feature, c.kind, c.value, c.negated) for c in q.clauses]
                 apart = 0  # the members that q holds the negation of a clause of
                 for feature, kind, value, negated in literals:
                     apart |= held.get((feature, kind, value, not negated), 0)
@@ -121,7 +122,7 @@ class BudgetLedger:
 
 @dataclass(frozen=True)
 class CuratorQuery:
-    clauses: tuple[RuleClause, ...]  # empty conjunction = tautology
+    clauses: tuple[SplitClause, ...]  # empty conjunction = tautology
     epsilon: float
     mechanism: str
     delta: float = 0.0
@@ -206,16 +207,15 @@ class Curator:
         params = mech.PrivacyParams(query.epsilon, query.delta)
         if query.mechanism == mech.GAUSSIAN:
             mech.gaussian_sigma(params)  # raises outside the Gaussian limits
-        for rc in query.clauses:
-            feature = rc.clause.feature
-            if feature not in self._data.columns:
-                raise RoutingError(feature)
+        for c in query.clauses:
+            if c.feature not in self._data.columns:
+                raise RoutingError(c.feature)
             # refuse now a clause that the ledger could not hash or the mask could not compare
-            kind = self._data.feature_kinds.get(feature)
-            if kind is not None and kind != rc.clause.kind:
-                raise DataError(f"feature {feature!r} is {kind}, not {rc.clause.kind}")
-            if not isinstance(rc.clause.value, _NUMBERS if rc.clause.kind == NUMERIC else str):
-                raise DataError(f"bad value type {type(rc.clause.value).__name__} on {feature!r}")
+            kind = self._data.feature_kinds.get(c.feature)
+            if kind is not None and kind != c.kind:
+                raise DataError(f"feature {c.feature!r} is {kind}, not {c.kind}")
+            if not isinstance(c.value, _NUMBERS if c.kind == NUMERIC else str):
+                raise DataError(f"bad value type {type(c.value).__name__} on {c.feature!r}")
         return params
 
     def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
@@ -236,23 +236,19 @@ class Curator:
 # ---------------------------------------------------------------------------
 # Frame encoding
 
-def clause_to_wire(rc: RuleClause) -> dict:
-    return {
-        "feature": rc.clause.feature,
-        "op": rc.clause.op,
-        "value": rc.clause.value,
-        "negated": bool(rc.negated),
-    }
+def clause_to_wire(c: SplitClause) -> dict:
+    return {"feature": c.feature, "op": c.op, "value": c.value, "negated": bool(c.negated)}
 
 
-def clause_from_wire(d: dict) -> RuleClause:
-    op = d["op"]
-    if not isinstance(d["feature"], str):
-        raise ProtocolError("clause feature must be a string")
-    negated = bool(d.get("negated", False))
-    if op in (">=", "!="):
-        op, negated = {">=": "<", "!=": "="}[op], not negated
-    return RuleClause(SplitClause.from_op(d["feature"], op, d["value"]), negated)
+def clause_from_wire(d: dict) -> SplitClause:
+    """The clause a wire dict spells; DataError names a field of the wrong
+    JSON type, KeyError a missing one."""
+    op, negated = d["op"], d.get("negated", False)
+    if op not in (">=", "!="):
+        return SplitClause.from_op(d["feature"], op, d["value"], negated)
+    # ">=" and "!=" are the negations of "<" and "="
+    c = SplitClause.from_op(d["feature"], "<" if op == ">=" else "=", d["value"], negated)
+    return SplitClause(c.feature, c.kind, c.value, not c.negated)
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -417,11 +413,6 @@ class CuratorServer(socketserver.ThreadingTCPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[:2]
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
 
 class WireClient:

@@ -143,14 +143,17 @@ class SensitiveSet:
 def encode_sensitive(sens: SensitiveSet, definition: str) -> SensitiveTable:
     """Encode raw sensitive columns into one grouped attribute.
 
-    "raw:<attr>" factorizes the column as-is, in sorted value order.
-    Otherwise the definition is one or two attr=value clauses joined by "&":
-    each clause, in order, doubles the group index and adds 1 where the row
-    matches, so K is 2 or 4 and the fully privileged group is last. A group
-    that holds no row is refused.
+    "raw:<attr>" factorizes a categorical column as-is, in sorted value
+    order; a numeric column is refused. Otherwise the definition is one or
+    two attr=value clauses joined by "&": each clause, in order, doubles the
+    group index and adds 1 where the row matches, so K is 2 or 4 and the
+    fully privileged group is last. A group that holds no row is refused.
     """
     if definition.startswith("raw:"):
-        column = _sensitive_column(sens, definition[len("raw:"):].strip())
+        attr = definition[len("raw:"):].strip()
+        column = _sensitive_column(sens, attr)
+        if np.issubdtype(column.dtype, np.number):  # one group per distinct value
+            raise DataError(f"raw:{attr} needs a categorical column; {attr!r} is numeric")
         values, groups = np.unique(column, return_inverse=True)
         names = tuple(str(v) for v in values)
     else:
@@ -225,10 +228,14 @@ def _kinds(names, numeric) -> dict[str, str]:
 
 
 def _parse_number(text: str, line_no: int, column: str) -> float:
+    """A finite numeric cell; "nan" or "inf" would let a fit split on x < NaN."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"line {line_no}: column {column!r} has non-numeric value {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"line {line_no}: column {column!r} has non-finite value {text!r}")
+    return value
 
 
 def _parse_int(text: str, line_no: int, column: str, allowed=None) -> int:
@@ -529,27 +536,6 @@ def save_dataset(ds: Dataset, sens: SensitiveSet, csv_path, meta_path) -> None:
             fh.write(f"feature.{name}={ds.feature_kinds[name]}\n")
         for name in sens.names:
             fh.write(f"sensitive.{name}={sens_kinds[name]}\n")
-
-
-def load_saved(csv_path, meta_path) -> tuple[Dataset, SensitiveSet]:
-    """Reload a table written by save_dataset; round-trips exactly."""
-    sidecar: dict[str, dict[str, str]] = {"feature": {}, "sensitive": {}}
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, eq, value = line.strip().partition("=")
-            section, dot, name = key.partition(".")
-            if eq and dot and section in sidecar:
-                sidecar[section][name] = value
-    feat_kinds, sens_kinds = sidecar["feature"], sidecar["sensitive"]
-    kinds = _column_kinds(feat_kinds, sens_kinds)
-    cols: dict[str, list] = {name: [] for name in kinds}
-    ids, labels = [], []
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, record in _header_records(fh, ["id", *kinds, "label"], "saved CSV file"):
-            ids.append(_parse_int(record["id"], line_no, "id"))
-            labels.append(_parse_int(record["label"], line_no, "label", (0, 1)))
-            _append_row(cols, kinds, [record[name] for name in kinds], line_no)
-    return _build_tables(labels, cols, feat_kinds, sens_kinds, ids)
 
 
 # Named encodings used by the CLI and experiments, per dataset family.

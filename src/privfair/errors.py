@@ -42,10 +42,6 @@ class ProtocolError(RuntimeError):
 class DegenerateEstimateError(RuntimeError):
     """The estimate is undefined (nonpositive group total or all-zero rates)."""
 
-    def __init__(self, message: str, accept_rates=None):
-        super().__init__(message)
-        self.accept_rates = accept_rates
-
 
 class MetricError(ValueError):
     """A fairness metric is undefined for the given predictions."""

@@ -123,10 +123,7 @@ def estimate_sp(
     totals, taut_invalid = repair_histogram(taut_answer.counts, policy, population, float(population))
     invalid += taut_invalid
     if (totals <= 0).any():
-        raise DegenerateEstimateError(
-            "tautology histogram has a nonpositive group total after repair",
-            accept_rates=tuple(np.zeros(k)),
-        )
+        raise DegenerateEstimateError("tautology histogram has a nonpositive group total after repair")
 
     accept_rates = np.zeros(k, dtype=float)
     for answer in rule_answers:
@@ -137,9 +134,7 @@ def estimate_sp(
 
     top = float(accept_rates.max()) if k else 0.0
     if top <= 0.0:
-        raise DegenerateEstimateError(
-            "all acceptance rates are zero after repair", accept_rates=tuple(accept_rates)
-        )
+        raise DegenerateEstimateError("all acceptance rates are zero after repair")
     sp = float(accept_rates.min()) / top
     return SpEstimate(
         sp=sp,

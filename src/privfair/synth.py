@@ -17,8 +17,6 @@ _RACES = ("White", "Black", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other")
 _RACE_P = (0.855, 0.096, 0.031, 0.010, 0.008)
 _WORKCLASSES = ("Private", "Self-emp-not-inc", "Local-gov", "State-gov", "Federal-gov")
 _WORKCLASS_P = (0.75, 0.09, 0.07, 0.05, 0.04)
-_OCCUPATIONS = ("Craft-repair", "Prof-specialty", "Exec-managerial", "Adm-clerical",
-                "Sales", "Other-service", "Machine-op-inspct")
 _COUNTRIES = ("United-States", "Mexico", "Philippines", "Germany", "Canada")
 _COUNTRY_P = (0.91, 0.04, 0.02, 0.015, 0.015)
 

@@ -2,9 +2,12 @@
 
 Trees grow best-first (largest impurity decrease expanded first), which is
 what makes a leaf-count budget well defined. Every leaf keeps its training
-count; rules are root-to-leaf clause conjunctions with negation flags on
-right branches, so the rule set of a tree is exhaustive and mutually
-exclusive over the instance space.
+count. A rule is the conjunction of the split clauses on a root-to-leaf path:
+a branch holds its clause as is, and the path to its right child carries the
+same clause negated. So the rule set of a tree is exhaustive and mutually
+exclusive over the instance space. Tree files and wire frames spell a clause
+as feature, op ("<" or "="), value and negated, and SplitClause.from_op is
+the one place such a spelling is checked.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,48 +30,55 @@ _OP_KINDS = {"<": NUMERIC, "=": CATEGORICAL}
 
 @dataclass(frozen=True)
 class SplitClause:
-    """One branching condition: numeric `feature < value` or categorical
-    `feature = value`."""
+    """One rule literal: numeric `feature < value` or categorical
+    `feature = value`, or its negation. A Branch holds its clause un-negated."""
 
     feature: str
     kind: str  # NUMERIC | CATEGORICAL
     value: float | str
+    negated: bool = False
 
     @property
     def op(self) -> str:
         return "<" if self.kind == NUMERIC else "="
 
     @classmethod
-    def from_op(cls, feature: str, op: str, value) -> "SplitClause":
-        """The clause spelled `feature op value`; DataError on an op other than
-        "<" or "=", ValueError or TypeError on a value the op cannot take."""
+    def from_op(cls, feature, op, value, negated=False) -> "SplitClause":
+        """The clause spelled `feature op value`, negated when asked. The
+        spelling is JSON: a string feature, "<" with a finite number (not a
+        bool) or "=" with a string, and a bool negated; DataError otherwise."""
         kind = _OP_KINDS.get(op) if isinstance(op, str) else None
         if kind is None:
             raise DataError(f"unknown clause op {op!r}")
-        return cls(feature, kind, float(value) if kind == NUMERIC else str(value))
+        if not isinstance(feature, str):
+            raise DataError(f"clause feature {feature!r} is not a string")
+        if kind == NUMERIC:
+            # NaN, the infinities and ints beyond the float range fail the bound
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not abs(value) <= sys.float_info.max:
+                raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
+            value = float(value)
+        elif not isinstance(value, str):
+            raise DataError(f"clause value {value!r} on {feature!r} is not a string")
+        if not isinstance(negated, bool):
+            raise DataError(f"clause negated {negated!r} on {feature!r} is not a bool")
+        return cls(feature, kind, value, negated)
 
     def mask(self, data: Dataset, idx: np.ndarray | None = None) -> np.ndarray:
         if self.feature not in data.columns:
             raise RoutingError(self.feature)
         if self.kind == NUMERIC:
             col = data.columns[self.feature]
-            return (col if idx is None else col[idx]) < self.value
-        cats, codes = data.codes(self.feature)
-        if idx is not None:
-            codes = codes[idx]
-        j = int(np.searchsorted(cats, self.value))
-        if j == len(cats) or cats[j] != self.value:
-            return np.zeros(len(codes), dtype=bool)  # a value absent from the column matches no row
-        return codes == j
-
-
-@dataclass(frozen=True)
-class RuleClause:
-    clause: SplitClause
-    negated: bool = False
-
-    def mask(self, data: Dataset) -> np.ndarray:
-        m = self.clause.mask(data)
+            m = (col if idx is None else col[idx]) < self.value
+        else:
+            cats, codes = data.codes(self.feature)
+            if idx is not None:
+                codes = codes[idx]
+            j = int(np.searchsorted(cats, self.value))
+            if j == len(cats) or cats[j] != self.value:
+                m = np.zeros(len(codes), dtype=bool)  # a value absent from the column matches no row
+            else:
+                m = codes == j
         return ~m if self.negated else m
 
 
@@ -75,15 +86,15 @@ class RuleClause:
 class RulePredicate:
     """Conjunction of path clauses plus the leaf's decision class."""
 
-    clauses: tuple[RuleClause, ...]
+    clauses: tuple[SplitClause, ...]
     decision: int
 
 
 def rule_mask(clauses, data: Dataset) -> np.ndarray:
     """Boolean membership mask of a clause conjunction over a dataset."""
     out = np.ones(data.n, dtype=bool)
-    for rc in clauses:
-        out &= rc.mask(data)
+    for c in clauses:
+        out &= c.mask(data)
     return out
 
 
@@ -106,8 +117,8 @@ def prefix_masks(conjunctions, data: Dataset) -> list[np.ndarray]:
                 break
             shared += 1
         del stack[shared + 1:]
-        for rc in clauses[shared:]:
-            stack.append(stack[-1] & rc.mask(data))
+        for c in clauses[shared:]:
+            stack.append(stack[-1] & c.mask(data))
         out.append(stack[-1])
         previous = clauses
     return out
@@ -151,8 +162,9 @@ def walk(node, path=()):
         node, path = stack.pop()
         yield node, path
         if isinstance(node, Branch):
-            stack.append((node.right, path + (RuleClause(node.clause, True),)))
-            stack.append((node.left, path + (RuleClause(node.clause, False),)))
+            c = node.clause
+            stack.append((node.right, path + (SplitClause(c.feature, c.kind, c.value, True),)))
+            stack.append((node.left, path + (c,)))
 
 
 @dataclass(frozen=True)

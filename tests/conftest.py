@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from privfair import data as D
 from privfair import mechanisms as mech
 from privfair.data import Dataset, SensitiveTable
 from privfair.errors import DataError
@@ -136,7 +138,7 @@ def replay(ledger):
 def reference_encode_sensitive(sens, mode, definition):
     """The three-mode encoder that encode_sensitive replaced.
 
-    mode is "raw" (definition names a column to factorize),
+    mode is "raw" (definition names a categorical column to factorize),
     "binary-privilege" (one attr=value clause; privileged group 1) or
     "quaternary-intersection" (two clauses; group 2*first + second). A group
     may be left without a row.
@@ -145,6 +147,8 @@ def reference_encode_sensitive(sens, mode, definition):
         attr = definition.strip()
         if attr not in sens.raw:
             raise DataError(f"sensitive attribute {attr!r} not available")
+        if sens.raw[attr].dtype.kind == "f":
+            raise DataError(f"raw:{attr} on a numeric column")  # one group per value
         names, codes = np.unique(sens.raw[attr], return_inverse=True)
         return SensitiveTable(sens.instance_ids.copy(), codes.astype(np.int64),
                               tuple(str(v) for v in names))
@@ -178,3 +182,32 @@ def equalized_odds(preds):
         rates = fav / sizes
         gaps.append(float(rates[1] - rates[0]))
     return gaps[0], gaps[1]
+
+
+def load_saved(csv_path, meta_path):
+    """Reload a (Dataset, SensitiveSet) pair written by data.save_dataset;
+    round-trips exactly."""
+    sidecar = {"feature": {}, "sensitive": {}}
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, eq, value = line.strip().partition("=")
+            section, dot, name = key.partition(".")
+            if eq and dot and section in sidecar:
+                sidecar[section][name] = value
+    feat_kinds, sens_kinds = sidecar["feature"], sidecar["sensitive"]
+    kinds = D._column_kinds(feat_kinds, sens_kinds)
+    cols = {name: [] for name in kinds}
+    ids, labels = [], []
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, record in D._header_records(fh, ["id", *kinds, "label"], "saved CSV file"):
+            ids.append(D._parse_int(record["id"], line_no, "id"))
+            labels.append(D._parse_int(record["label"], line_no, "label", (0, 1)))
+            D._append_row(cols, kinds, [record[name] for name in kinds], line_no)
+    return D._build_tables(labels, cols, feat_kinds, sens_kinds, ids)
+
+
+def serve_in_background(server):
+    """Run a CuratorServer's loop on a daemon thread; stop it with shutdown()."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread

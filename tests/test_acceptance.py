@@ -54,7 +54,8 @@ from privfair.experiments import (
 from privfair.metrics import PredictionSet, aaspe, sp_ratio_kary
 from privfair.synth import make_adult_surrogate, make_compas_surrogate
 
-from conftest import FIXTURES, dp_density_ratio_check, equalized_odds, make_dataset
+from conftest import (FIXTURES, dp_density_ratio_check, equalized_odds, make_dataset,
+                      serve_in_background)
 
 CANONICAL = Path("data")
 HAVE_CANONICAL_ADULT = (CANONICAL / "adult.data").exists() and (CANONICAL / "adult.test").exists()
@@ -373,7 +374,7 @@ def test_criterion_12_transport_equivalence():
 
     curator_b = Curator(test, table, total_epsilon=0.5, seed=77)
     server = CuratorServer(curator_b, "127.0.0.1", 0)
-    server.serve_in_background()
+    serve_in_background(server)
     host, port = server.address
     try:
         with WireClient(host, port) as client:

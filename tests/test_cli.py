@@ -10,7 +10,7 @@ from privfair import cli
 from privfair.curator import Curator, CuratorServer
 from privfair.data import encode_sensitive, load_german, DATASET_ENCODINGS
 
-from conftest import FIXTURES
+from conftest import FIXTURES, serve_in_background
 
 
 def run_cli(args):
@@ -100,13 +100,28 @@ def test_audit_zero_budget_is_data_error(tree_file, capsys):
     assert "total_epsilon must be positive" in capsys.readouterr().err
 
 
+def first_split(node, op):
+    """The first split record with the op, depth first; None if there is none."""
+    if node["type"] == "leaf":
+        return None
+    if node["op"] == op:
+        return node
+    return first_split(node["left"], op) or first_split(node["right"], op)
+
+
 @pytest.mark.parametrize("mangle, fault", [
     (lambda record: record["root"].update(op="<="), "unknown clause op '<='"),
     (lambda record: record.pop("root"), "lacks the field 'root'"),
     (None, "tree file"),
-], ids=["op-le", "no-root", "not-json"])
+    (lambda record: first_split(record["root"], "<").update(value="nan"), "clause value 'nan'"),
+    (lambda record: first_split(record["root"], "<").update(value=True), "clause value True"),
+    (lambda record: first_split(record["root"], "=").update(value=None), "clause value None"),
+    (lambda record: first_split(record["root"], "=").update(value=5), "clause value 5"),
+], ids=["op-le", "no-root", "not-json", "numeric-nan-text", "numeric-bool", "categorical-null",
+        "categorical-number"])
 def test_audit_malformed_tree_file_is_data_error(tree_file, tmp_path, mangle, fault, capsys):
-    # these used to audit a categorical split on "<=" or die with a traceback
+    # these used to audit a categorical split on "<=", die with a traceback,
+    # or audit a split whose value float() or str() had coerced
     broken = tmp_path / "broken.json"
     if mangle is None:
         broken.write_text("not json\n")
@@ -116,6 +131,16 @@ def test_audit_malformed_tree_file_is_data_error(tree_file, tmp_path, mangle, fa
         broken.write_text(json.dumps(record))
     assert run_cli(audit_args(broken)) == cli.EXIT_DATA
     assert fault in capsys.readouterr().err
+
+
+def test_audit_raw_definition_on_a_numeric_column_is_data_error(tree_file, capsys):
+    # raw:age used to audit one group per age, most of them near empty
+    args = ["audit"] + german_args(["--tree", str(tree_file), "--sensitive", "raw:age",
+                                    "--epsilon", "0.5", "--seed", "11"])
+    assert run_cli(args) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert "raw:age needs a categorical column" in captured.err
+    assert "statistical parity estimate" not in captured.out
 
 
 @pytest.mark.parametrize("definition, empty", [("gender=Male", "Male"), ("age=30", "30")])
@@ -160,7 +185,7 @@ def test_audit_inproc_equals_wire(tree_file, tmp_path):
     table = encode_sensitive(test_sens, DATASET_ENCODINGS["german"]["sex"])
     curator = Curator(test_ds, table, total_epsilon=0.5, seed=11)
     server = CuratorServer(curator, "127.0.0.1", 0)
-    server.serve_in_background()
+    serve_in_background(server)
     host, port = server.address
     try:
         wire_out = tmp_path / "wire.json"
@@ -411,6 +436,22 @@ def test_csv_schema_dataset(tmp_path):
     assert code == cli.EXIT_OK
     report = json.loads(report_path.read_text())
     assert 0.0 <= report["sp_estimate"] <= 1.0
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_fit_on_a_csv_with_a_non_finite_cell_is_data_error(tmp_path, cell, capsys):
+    # a nan cell used to fit x < NaN splits with leaves of no row
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"label": "y", "features": {"x": "numeric"}}))
+    rows = ["x,y"] + [f"{i % 7}.5,{i % 2}" for i in range(60)]
+    rows[31] = f"{cell},1"
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(rows) + "\n")
+    code = run_cli(["fit", "--dataset", f"csv:{schema_path}", "--train", str(data_path),
+                    "--max-height", "3", "--minleaf", "0.05", "--show",
+                    "--out", str(tmp_path / "tree.json")])
+    assert code == cli.EXIT_DATA
+    assert f"line 32: column 'x' has non-finite value {cell!r}" in capsys.readouterr().err
 
 
 def test_bad_policy_flag_is_data_error(tree_file):

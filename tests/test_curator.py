@@ -12,9 +12,9 @@ from privfair import curator as C
 from privfair.data import Dataset, SensitiveTable
 from privfair.errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError,
                              ParameterError, ProtocolError)
-from privfair.tree import RuleClause, SplitClause, rule_mask
+from privfair.tree import SplitClause, rule_mask
 
-from conftest import FIXTURES, replay
+from conftest import FIXTURES, replay, serve_in_background
 
 
 def fixed_tables():
@@ -41,11 +41,11 @@ def test_curator_refuses_a_sensitive_table_on_other_rows():
 
 
 def lt(feature, value, negated=False):
-    return RuleClause(SplitClause(feature, "numeric", value), negated)
+    return SplitClause(feature, "numeric", value, negated)
 
 
 def eq(feature, value, negated=False):
-    return RuleClause(SplitClause(feature, "categorical", value), negated)
+    return SplitClause(feature, "categorical", value, negated)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ conjunctions = st.lists(literals, min_size=1, max_size=3).map(tuple)
 def test_admitted_batch_members_are_disjoint_on_any_table(a, b, x, data):
     if data.draw(st.booleans()):  # often declare b disjoint from a
         declared = data.draw(st.sampled_from(a))
-        b += (RuleClause(declared.clause, not declared.negated),)
+        b += (replace(declared, negated=not declared.negated),)
     c = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=len(x), max_size=len(x)))
     ds = Dataset(np.arange(len(x)), ("x", "c"), {"x": "numeric", "c": "categorical"},
                  {"x": np.array(x), "c": np.array(c)}, np.zeros(len(x), dtype=int))
@@ -446,6 +446,42 @@ def test_malformed_query_frame_gets_error_frame(fields):
     assert cur.ledger().entries == []
 
 
+MISTYPED_CLAUSES = [
+    {"feature": "x", "op": "<", "value": 5.0, "negated": "false"},
+    {"feature": "x", "op": "<", "value": 5.0, "negated": 0},
+    {"feature": "x", "op": "<", "value": "nan"},
+    {"feature": "x", "op": "<", "value": "5"},
+    {"feature": "x", "op": "<", "value": True},
+    {"feature": "x", "op": ">=", "value": math.inf},
+    {"feature": "c", "op": "=", "value": None},
+    {"feature": "c", "op": "!=", "value": 5},
+]
+
+
+@pytest.mark.parametrize("clause", MISTYPED_CLAUSES, ids=[
+    "negated-string", "negated-number", "numeric-nan-text", "numeric-text", "numeric-bool",
+    "numeric-infinity", "categorical-null", "categorical-number"])
+def test_mistyped_clause_field_gets_error_frame_and_draws_no_noise(clause):
+    # each used to be coerced: "false" read as negated (the complement was
+    # answered), "nan" and "5" parsed as floats, true as 1.0, null and 5 as
+    # the strings "None" and "5"
+    cur = fixed_curator(total_epsilon=1.0, seed=47)
+    query = {**C.query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [clause]}
+    batch = C.batch_to_frame(audit_queries())
+    batch["queries"][1]["predicate"].append(clause)
+    for frame in (query, batch):
+        reply = C.process_frame(cur, C.encode_frame(frame))
+        assert reply["type"] == "error"
+        assert cur.ledger().spent == 0.0
+        assert cur.ledger().entries == []
+    with pytest.raises(DataError):
+        C.clause_from_wire(clause)
+    fresh = fixed_curator(total_epsilon=1.0, seed=47)
+    got = cur.answer_batch(audit_queries())
+    want = fresh.answer_batch(audit_queries())
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
 def test_deeply_nested_frame_gets_error_frame():
     cur = fixed_curator()
     assert C.process_frame(cur, b"[" * 100_000 + b"\n")["type"] == "error"
@@ -646,7 +682,7 @@ def test_wire_transcript_fixture_bit_exact():
 def test_serve_answer_and_error_keeps_connection():
     cur = fixed_curator(total_epsilon=2.0, seed=31)
     server = C.CuratorServer(cur, "127.0.0.1", 0)
-    server.serve_in_background()
+    serve_in_background(server)
     host, port = server.address
     try:
         with C.WireClient(host, port) as client:
@@ -665,7 +701,7 @@ def test_serve_answer_and_error_keeps_connection():
 def test_serve_concurrent_clients_ledger_consistent():
     cur = fixed_curator(total_epsilon=1000.0, seed=37)
     server = C.CuratorServer(cur, "127.0.0.1", 0)
-    server.serve_in_background()
+    serve_in_background(server)
     host, port = server.address
     n_clients, per_client = 100, 2
     errors = []
@@ -704,7 +740,7 @@ def test_parallel_batch_charges_the_maximum_epsilon():
 
 def serving(cur):
     server = C.CuratorServer(cur, "127.0.0.1", 0)
-    server.serve_in_background()
+    serve_in_background(server)
     return server
 
 

@@ -10,7 +10,7 @@ from privfair import binning as B
 from privfair import data as D
 from privfair.errors import DataError
 
-from conftest import reference_encode_sensitive
+from conftest import load_saved, reference_encode_sensitive
 
 CANONICAL_ADULT = __import__("pathlib").Path("data/adult.data")
 
@@ -252,6 +252,13 @@ def test_encode_raw_keeps_arity():
     assert table.group_names == ("a", "b", "c")
 
 
+def test_encode_raw_refuses_a_numeric_column():
+    # it used to make one group per distinct value
+    sens = sens_set(race=["a", "b", "a", "b"], age=[30.0, 41.0, 30.0, 52.0])
+    with pytest.raises(DataError, match="raw:age needs a categorical column"):
+        D.encode_sensitive(sens, "raw:age")
+
+
 def test_encode_absent_attribute_errors():
     sens = sens_set(race=["a", "b"])
     with pytest.raises(DataError, match="nope"):
@@ -364,7 +371,7 @@ def test_save_load_roundtrip(tmp_path, fixtures_dir, family):
     (train, sens), _ = FAMILIES[family](fixtures_dir)
     csv_path, meta_path = tmp_path / "out.csv", tmp_path / "out.meta"
     D.save_dataset(train, sens, csv_path, meta_path)
-    ds2, sens2 = D.load_saved(csv_path, meta_path)
+    ds2, sens2 = load_saved(csv_path, meta_path)
     assert ds2.feature_names == train.feature_names
     for name in train.feature_names:
         assert np.array_equal(ds2.columns[name], train.columns[name])
@@ -383,7 +390,7 @@ def test_save_load_roundtrip(tmp_path, fixtures_dir, family):
 def test_schema_loader_matches_saved_golden(fixtures_dir, family):
     csv_path = fixtures_dir / f"{family}_train_golden.csv"
     meta_path = fixtures_dir / f"{family}_train_golden.meta"
-    saved, saved_sens = D.load_saved(csv_path, meta_path)
+    saved, saved_sens = load_saved(csv_path, meta_path)
     ds, sens = D.load_csv_with_schema(csv_path, schema_from_meta(meta_path))
     assert ds.feature_names == saved.feature_names
     assert ds.feature_kinds == saved.feature_kinds
@@ -412,6 +419,17 @@ def test_schema_bad_cell_after_blank_lines_names_file_line(tmp_path):
         D.load_csv_with_schema(path, {"label": "y", "features": {"x": "numeric"}})
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-infinity"])
+@pytest.mark.parametrize("role", ["features", "sensitive"])
+def test_schema_non_finite_cell_names_line_and_column(tmp_path, cell, role):
+    path = tmp_path / "table.csv"
+    path.write_text(f"x,c,y\n1.5,a,1\n{cell},b,0\n")
+    schema = {"label": "y", "features": {"c": "categorical"}, "sensitive": {}}
+    schema[role]["x"] = "numeric"
+    with pytest.raises(DataError, match=f"line 3: column 'x' has non-finite value {cell!r}"):
+        D.load_csv_with_schema(path, schema)
+
+
 def test_schema_sensitive_column_cannot_be_a_feature(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("age,x,y\n30,1.5,1\n40,2.5,0\n")
@@ -433,7 +451,7 @@ def test_saved_unknown_kind_rejected(tmp_path):
     csv_path.write_text("id,x,label\n0,1.0,1\n1,2.0,0\n")
     meta_path.write_text("n=2\nlabel=label\nfeature.x=int\n")
     with pytest.raises(DataError, match="int"):
-        D.load_saved(csv_path, meta_path)
+        load_saved(csv_path, meta_path)
 
 
 def test_saved_missing_column_schema_error(tmp_path, fixtures_dir):
@@ -443,7 +461,7 @@ def test_saved_missing_column_schema_error(tmp_path, fixtures_dir):
     with open(meta_path, "a") as fh:
         fh.write("feature.z=numeric\n")
     with pytest.raises(DataError, match="'z'"):
-        D.load_saved(csv_path, meta_path)
+        load_saved(csv_path, meta_path)
 
 
 def test_saved_short_row_names_line(tmp_path):
@@ -451,7 +469,7 @@ def test_saved_short_row_names_line(tmp_path):
     csv_path.write_text("id,x,label\n0,1.0,1\n1,2.0\n")
     meta_path.write_text("n=2\nlabel=label\nfeature.x=numeric\n")
     with pytest.raises(DataError, match="line 3"):
-        D.load_saved(csv_path, meta_path)
+        load_saved(csv_path, meta_path)
 
 
 @pytest.mark.parametrize("row", ["1,2.0,2", "1,2.0,yes", "one,2.0,0"], ids=["label-2", "label-yes", "id-one"])
@@ -460,7 +478,7 @@ def test_saved_bad_integer_cell_names_line(tmp_path, row):
     csv_path.write_text(f"id,x,label\n0,1.0,1\n{row}\n")
     meta_path.write_text("n=2\nlabel=label\nfeature.x=numeric\n")
     with pytest.raises(DataError, match="line 3: column '(label|id)'"):
-        D.load_saved(csv_path, meta_path)
+        load_saved(csv_path, meta_path)
 
 
 def test_saved_sensitive_column_cannot_be_a_feature(tmp_path):
@@ -468,7 +486,7 @@ def test_saved_sensitive_column_cannot_be_a_feature(tmp_path):
     csv_path.write_text("id,age,label\n0,30.0,1\n1,40.0,0\n")
     meta_path.write_text("n=2\nlabel=label\nfeature.age=numeric\nsensitive.age=numeric\n")
     with pytest.raises(DataError, match="'age'"):
-        D.load_saved(csv_path, meta_path)
+        load_saved(csv_path, meta_path)
 
 
 def test_fixture_goldens_byte_match(tmp_path, fixtures_dir):

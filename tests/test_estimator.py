@@ -11,7 +11,7 @@ from privfair.data import Dataset, SensitiveTable
 from privfair.errors import BudgetRefusal, DegenerateEstimateError, ParameterError
 from privfair.metrics import PredictionSet, sp_ratio_kary
 
-from conftest import make_dataset
+from conftest import make_dataset, serve_in_background
 
 
 def curator_for(ds, table, budget, seed=0, allow_exact=True):
@@ -436,7 +436,7 @@ def test_wire_audit_is_bit_identical_and_one_round_trip(monkeypatch):
 
     monkeypatch.setattr(C, "process_frame", counting)
     server = C.CuratorServer(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
-    server.serve_in_background()
+    serve_in_background(server)
     try:
         with C.WireClient(*server.address) as client:
             wire = [E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=m, delta=1e-3,

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,28 +407,47 @@ def test_walk_is_depth_first_left_before_right():
     got = [(type(node).__name__, path) for node, path in T.walk(tree.root)]
     assert got == [
         ("Branch", ()),
-        ("Branch", (T.RuleClause(race, False),)),
-        ("Leaf", (T.RuleClause(race, False), T.RuleClause(age, False))),
-        ("Leaf", (T.RuleClause(race, False), T.RuleClause(age, True))),
-        ("Leaf", (T.RuleClause(race, True),)),
+        ("Branch", (race,)),
+        ("Leaf", (race, age)),
+        ("Leaf", (race, replace(age, negated=True))),
+        ("Leaf", (replace(race, negated=True),)),
     ]
     assert (tree.height, tree.n_leaves) == (2, 3)
 
 
 def malformed_tree_files():
-    """(file text, fault the refusal names) for three broken tree files."""
+    """{id: (file text, fault the refusal names)} for broken tree files."""
     record = T.to_record(split_tree())
-    inner_le = {**record, "root": {**record["root"], "left": {**record["root"]["left"], "op": "<="}}}
-    no_root = {k: v for k, v in record.items() if k != "root"}
-    return [(json.dumps(inner_le), "unknown clause op '<='"),
-            (json.dumps(no_root), "lacks the field 'root'"),
-            ("not json\n", "tree file")]
+
+    def root(**fields):  # the root split is race = "a"
+        return json.dumps({**record, "root": {**record["root"], **fields}})
+
+    def inner(**fields):  # the root's left child splits on age < 3.5
+        return root(left={**record["root"]["left"], **fields})
+
+    return {
+        "op-le": (inner(op="<="), "unknown clause op '<='"),
+        "no-root": (json.dumps({k: v for k, v in record.items() if k != "root"}),
+                    "lacks the field 'root'"),
+        "not-json": ("not json\n", "tree file"),
+        "numeric-text": (inner(value="3.5"), "clause value '3.5' on 'age' is not a finite"),
+        "numeric-nan-text": (inner(value="nan"), "clause value 'nan' on 'age' is not a finite"),
+        "numeric-bool": (inner(value=True), "clause value True on 'age' is not a finite"),
+        "numeric-nan": (inner(value=math.nan), "clause value nan on 'age' is not a finite"),
+        "numeric-overflow": (inner(value=10 ** 400), "on 'age' is not a finite number"),
+        "categorical-null": (root(value=None), "clause value None on 'race' is not a string"),
+        "categorical-number": (root(value=5), "clause value 5 on 'race' is not a string"),
+        "feature-number": (root(feature=7), "clause feature 7 is not a string"),
+    }
 
 
-@pytest.mark.parametrize("text, fault", malformed_tree_files(), ids=["op-le", "no-root", "not-json"])
+@pytest.mark.parametrize("text, fault", malformed_tree_files().values(),
+                         ids=malformed_tree_files().keys())
 def test_load_tree_refuses_a_malformed_file(tmp_path, text, fault):
-    # "<=" used to load as a categorical split on the string "3.5"; the
-    # other two died with a KeyError and a JSONDecodeError
+    # "<=" used to load as a categorical split on the string "3.5", and
+    # float() and str() turned a mistyped value into a NaN threshold, 1.0,
+    # "None" or "5"; a missing root and a non-JSON file died with a KeyError
+    # and a JSONDecodeError
     path = tmp_path / "tree.json"
     path.write_text(text)
     with pytest.raises(DataError, match=fault):
