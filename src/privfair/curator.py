@@ -19,9 +19,10 @@ so tree rules in depth-first order evaluate each shared prefix once.
 
 Wire protocol: newline-delimited UTF-8 frames, one JSON object per line with
 sorted keys, at most MAX_FRAME_BYTES each. epsilon/delta and answer counts
-travel as decimal strings to avoid float round-trip drift. A clause field of
-the wrong JSON type is refused, never coerced (SplitClause.from_op); clause
-ops ">=" and "!=" are accepted and canonicalized to negated "<" / "=". A
+travel as decimal strings to avoid float round-trip drift. A query frame
+key that is unknown or holds the wrong JSON type is refused, never coerced,
+and a clause value follows one rule in process and on the wire (check_value);
+clause ops ">=" and "!=" are accepted and canonicalized to negated "<" / "=". A
 "batch" frame carries a list of query frames and is answered by one
 "answers" frame, or by one refusal or error frame for the whole batch. A
 refusal frame carries the remaining budget and, unless the budget itself
@@ -39,22 +40,23 @@ import json
 import socket
 import socketserver
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERIC, Dataset, SensitiveTable
+from .data import Dataset, SensitiveTable
 from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
                      ProtocolError, RoutingError)
 from . import mechanisms as mech
-from .tree import SplitClause, prefix_masks
+from .tree import SplitClause, check_value, prefix_masks
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
 MAX_FRAME_BYTES = 1 << 20  # one request line, newline included; 512 rules of depth 10 fit
 IDLE_TIMEOUT_S = 300.0  # a server connection that sends nothing for this long is closed
-_NUMBERS = (int, float, np.number)  # the value types a numeric clause compares against
+# the keys a query frame may hold and their JSON types; no other key is accepted
+_QUERY_FIELDS = {"type": str, "predicate": list, "epsilon": str, "mechanism": str, "delta": str,
+                 "batch_id": (str, type(None)), "identity": str}
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class LedgerEntry:
     digest: str
     epsilon: float  # the query's epsilon
     charged: float  # increment actually applied to the spend
-    timestamp: float
     composition: str  # "sequential" or "parallel:<batch_id>"
 
 
@@ -114,7 +115,7 @@ class BudgetLedger:
             if spent + increment > self.total_epsilon + 1e-9:
                 raise BudgetRefusal(self.remaining)
             spent += increment
-            entries.append(LedgerEntry(digest, q.epsilon, increment, time.time(), label))
+            entries.append(LedgerEntry(digest, q.epsilon, increment, label))
         self.spent = spent
         self._batches.update(batches)
         self.entries.extend(entries)
@@ -214,8 +215,7 @@ class Curator:
             kind = self._data.feature_kinds.get(c.feature)
             if kind is not None and kind != c.kind:
                 raise DataError(f"feature {c.feature!r} is {kind}, not {c.kind}")
-            if not isinstance(c.value, _NUMBERS if c.kind == NUMERIC else str):
-                raise DataError(f"bad value type {type(c.value).__name__} on {c.feature!r}")
+            check_value(c.feature, c.kind, c.value)
         return params
 
     def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
@@ -283,19 +283,20 @@ def query_to_frame(q: CuratorQuery, identity: str = "default") -> dict:
 
 def frame_to_query(frame: dict) -> tuple[CuratorQuery, str]:
     """The query a frame carries and the identity that asks it."""
+    for key, value in frame.items():
+        if key not in _QUERY_FIELDS:
+            raise ProtocolError(f"unknown query frame key {key!r}")
+        if not isinstance(value, _QUERY_FIELDS[key]):
+            raise ProtocolError(f"query frame field {key!r} has the wrong JSON type")
     try:
-        clauses = tuple(clause_from_wire(c) for c in frame.get("predicate", []))
-        epsilon = float(frame["epsilon"])
-        mechanism = str(frame["mechanism"])
-        delta = float(frame.get("delta", "0") or 0.0)
+        clauses = tuple(clause_from_wire(c) for c in frame["predicate"])
+        epsilon, delta = float(frame["epsilon"]), float(frame.get("delta", "0"))
+        mechanism = frame["mechanism"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad query frame: {exc}") from None
-    batch_id = frame.get("batch_id")
-    if batch_id is None and "batch_id" in frame:
-        batch_id = ""  # any batch_id key marks the query parallel; the ledger refuses ""
+    # any batch_id key marks the query parallel; a null id becomes "", which the ledger refuses
+    batch_id = (frame["batch_id"] or "") if "batch_id" in frame else None
     identity = frame.get("identity", "default")
-    if not isinstance(batch_id, (str, type(None))) or not isinstance(identity, str):
-        raise ProtocolError("batch_id and identity must be strings")
     return CuratorQuery(clauses, epsilon, mechanism, delta, batch_id), identity
 
 

@@ -28,6 +28,19 @@ _GAIN_TOL = 1e-12
 _OP_KINDS = {"<": NUMERIC, "=": CATEGORICAL}
 
 
+def check_value(feature, kind: str, value) -> None:
+    """DataError unless value is what a `kind` clause compares against: a
+    finite number that is not a bool, or a string. Wire, file and in-process
+    clauses all pass this one rule."""
+    if kind == NUMERIC:
+        # NaN, the infinities and ints beyond the float range fail the bound
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
+    elif not isinstance(value, str):
+        raise DataError(f"clause value {value!r} on {feature!r} is not a string")
+
+
 @dataclass(frozen=True)
 class SplitClause:
     """One rule literal: numeric `feature < value` or categorical
@@ -52,28 +65,18 @@ class SplitClause:
             raise DataError(f"unknown clause op {op!r}")
         if not isinstance(feature, str):
             raise DataError(f"clause feature {feature!r} is not a string")
-        if kind == NUMERIC:
-            # NaN, the infinities and ints beyond the float range fail the bound
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not abs(value) <= sys.float_info.max:
-                raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
-            value = float(value)
-        elif not isinstance(value, str):
-            raise DataError(f"clause value {value!r} on {feature!r} is not a string")
+        check_value(feature, kind, value)
         if not isinstance(negated, bool):
             raise DataError(f"clause negated {negated!r} on {feature!r} is not a bool")
-        return cls(feature, kind, value, negated)
+        return cls(feature, kind, float(value) if kind == NUMERIC else value, negated)
 
-    def mask(self, data: Dataset, idx: np.ndarray | None = None) -> np.ndarray:
+    def mask(self, data: Dataset) -> np.ndarray:
         if self.feature not in data.columns:
             raise RoutingError(self.feature)
         if self.kind == NUMERIC:
-            col = data.columns[self.feature]
-            m = (col if idx is None else col[idx]) < self.value
+            m = data.columns[self.feature] < self.value
         else:
             cats, codes = data.codes(self.feature)
-            if idx is not None:
-                codes = codes[idx]
             j = int(np.searchsorted(cats, self.value))
             if j == len(cats) or cats[j] != self.value:
                 m = np.zeros(len(codes), dtype=bool)  # a value absent from the column matches no row
@@ -255,7 +258,7 @@ def _best_split(node, data, yf, minleaf, config, rng, n_total):
             col = data.columns[name][node.idx]
             order = np.argsort(col, kind="stable")
             sv = col[order]
-            cuts = np.flatnonzero(sv[:-1] != sv[1:])
+            cuts = np.flatnonzero(sv[:-1] < sv[1:])  # argsort puts NaN last; no cut reaches it
             if cuts.size == 0:
                 continue
             n_left, l1 = cuts + 1, np.cumsum(ysub[order])[cuts]
@@ -343,18 +346,12 @@ def fit(data: Dataset, config: LearnerConfig) -> DecisionTree:
 
 
 def predict_dataset(tree: DecisionTree, data: Dataset) -> np.ndarray:
-    """Vectorized leaf routing for a whole dataset."""
-    out = np.empty(data.n, dtype=np.int64)
-
-    def rec(node, idx):
-        if isinstance(node, Leaf):
-            out[idx] = node.klass
-            return
-        m = node.clause.mask(data, idx)
-        rec(node.left, idx[m])
-        rec(node.right, idx[~m])
-
-    rec(tree.root, np.arange(data.n))
+    """1 on the rows that a favourable rule holds, 0 elsewhere. The rules
+    partition every table, so this is the tree's prediction; RoutingError
+    names a feature of a favourable rule that the table lacks."""
+    out = np.zeros(data.n, dtype=np.int64)
+    for m in prefix_masks([r.clauses for r in favorable_rules(tree)], data):
+        out[m] = 1
     return out
 
 

@@ -274,10 +274,6 @@ def audit_queries(batch_id="b"):
     ]
 
 
-def entries_without_time(cur, identity="default"):
-    return [replace(e, timestamp=0.0) for e in cur.ledger(identity).entries]
-
-
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_answer_batch_matches_one_by_one(seed):
     queries = audit_queries()
@@ -287,7 +283,7 @@ def test_answer_batch_matches_one_by_one(seed):
     want = [one_by_one.answer(q) for q in queries]
     assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
     assert [a.digest for a in got] == [q.digest() for q in queries]
-    assert entries_without_time(batched) == entries_without_time(one_by_one)
+    assert batched.ledger().entries == one_by_one.ledger().entries
     assert len(batched.ledger().entries) == len(queries)
     assert batched.ledger().spent == one_by_one.ledger().spent == 0.5
 
@@ -393,8 +389,12 @@ def test_process_frame_over_budget_refusal():
     assert cur.ledger().spent == 0.0
 
 
+MISSING = object()  # a raw_query_frame field given this value is left out
+
+
 def raw_query_frame(**fields) -> bytes:
-    return C.encode_frame({"type": "query", "predicate": [], "mechanism": "laplace", **fields})
+    frame = {"type": "query", "predicate": [], "mechanism": "laplace", **fields}
+    return C.encode_frame({key: value for key, value in frame.items() if value is not MISSING})
 
 
 def test_nan_epsilon_is_rejected_before_charge():
@@ -434,9 +434,20 @@ def test_out_of_range_delta_is_rejected_before_charge():
         {"epsilon": "0.5", "predicate": [{"feature": {"a": 1}, "op": "<", "value": 1}]},
         {"epsilon": "0.5", "predicate": [{"feature": "c", "op": "<", "value": 1}]},
         {"epsilon": 10 ** 400},
+        {"epsilon": True},
+        {"epsilon": 0.5},
+        {"epsilon": "0.5", "predicate": MISSING},
+        {"epsilon": "0.5", "predicate": {}},
+        {"epsilon": "0.5", "predicate": ""},
+        {"epsilon": "0.5", "identiy": "alice"},
+        {"epsilon": "0.5", "delta": 0},
+        {"epsilon": "0.5", "delta": None},
+        {"epsilon": "0.5", "delta": False},
     ],
     ids=["delta-text", "batch-id-object", "identity-list", "feature-object",
-         "numeric-clause-on-categorical", "epsilon-overflow"],
+         "numeric-clause-on-categorical", "epsilon-overflow", "epsilon-bool", "epsilon-number",
+         "predicate-missing", "predicate-object", "predicate-empty-text", "unknown-key",
+         "delta-zero", "delta-null", "delta-false"],
 )
 def test_malformed_query_frame_gets_error_frame(fields):
     cur = fixed_curator(total_epsilon=1.0)
@@ -477,6 +488,22 @@ def test_mistyped_clause_field_gets_error_frame_and_draws_no_noise(clause):
     with pytest.raises(DataError):
         C.clause_from_wire(clause)
     fresh = fixed_curator(total_epsilon=1.0, seed=47)
+    got = cur.answer_batch(audit_queries())
+    want = fresh.answer_batch(audit_queries())
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, np.int64(3)],
+                         ids=["nan", "infinity", "minus-infinity", "bool", "numpy-int"])
+def test_in_process_clause_value_follows_the_wire_rule(value):
+    # the wire refused each of these; in process NaN, the infinities and True
+    # were answered and np.int64 escaped the digest as a TypeError
+    cur = fixed_curator(total_epsilon=1.0, seed=53)
+    with pytest.raises(DataError):
+        cur.answer(C.CuratorQuery((lt("x", value),), 0.25, "laplace"))
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+    fresh = fixed_curator(total_epsilon=1.0, seed=53)
     got = cur.answer_batch(audit_queries())
     want = fresh.answer_batch(audit_queries())
     assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
@@ -582,7 +609,7 @@ def test_batch_frame_gets_one_answers_frame():
     assert reply["type"] == "answers"
     ref = fixed_curator(seed=61)
     assert reply["answers"] == [C.answer_to_frame(ref.answer(q)) for q in queries]
-    assert entries_without_time(cur) == entries_without_time(ref)
+    assert cur.ledger().entries == ref.ledger().entries
 
 
 def test_refused_batch_frame_charges_nothing():

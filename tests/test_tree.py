@@ -131,7 +131,7 @@ def test_fit_gain_strictly_positive_on_generic_data():
     def check(node, idx):
         if isinstance(node, T.Leaf):
             return
-        mask = node.clause.mask(ds, idx)
+        mask = node.clause.mask(ds)[idx]
         li, ri = idx[mask], idx[~mask]
         parent = entropy(ds.labels[idx]) * len(idx)
         child = entropy(ds.labels[li]) * len(li) + entropy(ds.labels[ri]) * len(ri)
@@ -140,6 +140,21 @@ def test_fit_gain_strictly_positive_on_generic_data():
         check(node.right, ri)
 
     check(tree.root, np.arange(n))
+
+
+def test_fit_never_cuts_at_nan():
+    # a cut between the last finite value and the NaNs had threshold NaN and
+    # an empty left child, and was chosen again on the right child
+    n = 60
+    x = np.random.Generator(np.random.PCG64(3)).normal(0, 2, n)
+    x[::5] = np.nan
+    ds = tiny_dataset({"x": x}, np.isnan(x).astype(int))
+    tree = T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.05))
+    for node, _ in T.walk(tree.root):
+        if isinstance(node, T.Branch):
+            assert math.isfinite(node.clause.value)
+        else:
+            assert node.count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +174,7 @@ def test_predict_clause_semantics():
         20,
     )
     tree = T.DecisionTree(root, {"x": "numeric"}, 20)
-    probe = tiny_dataset({"x": [3.0, 5.0, 7.0]}, [0, 0, 0])
+    probe = tiny_dataset({"x": [3.0, 5.0, math.nan]}, [0, 0, 0])
     assert T.predict_dataset(tree, probe).tolist() == [1, 0, 0]
 
 
@@ -170,6 +185,18 @@ def test_predict_missing_feature_errors():
     tree = T.DecisionTree(root, {"x": "numeric"}, 2)
     with pytest.raises(RoutingError):
         T.predict_dataset(tree, tiny_dataset({"y": [1.0]}, [0]))
+
+
+def test_predict_reads_no_feature_of_an_all_unfavourable_subtree():
+    # the right subtree splits on y but has no favourable leaf, so a table
+    # without y is still predicted, as it is on the pruned tree
+    unfavourable = T.Branch(T.SplitClause("y", "numeric", 0.0),
+                            T.Leaf(0, 1, (1, 0)), T.Leaf(0, 1, (1, 0)), 2)
+    root = T.Branch(T.SplitClause("x", "numeric", 5.0), T.Leaf(1, 1, (0, 1)), unfavourable, 3)
+    tree = T.DecisionTree(root, {"x": "numeric", "y": "numeric"}, 3)
+    probe = tiny_dataset({"x": [3.0, 7.0, 9.0]}, [0, 0, 0])
+    assert T.predict_dataset(tree, probe).tolist() == [1, 0, 0]
+    assert T.predict_dataset(T.prune_redundant(tree), probe).tolist() == [1, 0, 0]
 
 
 def test_predict_matches_exactly_one_rule():
@@ -191,17 +218,9 @@ def test_categorical_value_absent_from_column_matches_no_row(value):
     ds = tiny_dataset({"c": ["a", "b", "c", "a"], "x": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 1, 0])
     clause = T.SplitClause("c", "categorical", value)
     assert not clause.mask(ds).any() and len(clause.mask(ds)) == 4
-    assert not clause.mask(ds, np.array([2, 0])).any()
     tree = T.DecisionTree(T.Branch(clause, T.Leaf(1, 1, (0, 1)), T.Leaf(0, 3, (3, 0)), 4),
                           {"c": "categorical", "x": "numeric"}, 4)
     assert T.predict_dataset(tree, ds).tolist() == [0, 0, 0, 0]
-
-
-def test_categorical_mask_through_subset_index():
-    ds = tiny_dataset({"c": ["b", "a", "c", "b", "a"]}, [0, 1, 1, 0, 1])
-    clause = T.SplitClause("c", "categorical", "b")
-    assert clause.mask(ds).tolist() == [True, False, False, True, False]
-    assert clause.mask(ds, np.array([4, 3, 0])).tolist() == [False, True, True]
 
 
 # ---------------------------------------------------------------------------
