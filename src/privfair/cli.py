@@ -44,7 +44,6 @@ from .tree import (
     fit,
     load_tree,
     predict_dataset,
-    prune_redundant,
     query_count_bounds,
     save_tree,
     to_text,
@@ -161,7 +160,7 @@ def cmd_fit(args) -> int:
 
 def cmd_audit(args) -> int:
     family, _, (test_ds, test_sens) = _load_dataset(args)
-    tree = prune_redundant(load_tree(args.tree))
+    tree = load_tree(args.tree)
     sens_table = encode_sensitive(test_sens, _definition(family, args.sensitive))
     policy = _parse_policy(args.policy)
     mode, addr = _parse_curator_mode(args.curator)
@@ -189,7 +188,7 @@ def cmd_audit(args) -> int:
     finally:
         closer()
 
-    height = max(tree.height, 1)
+    height = max(tree.audit_plan.height, 1)
     lo, hi = query_count_bounds(height)
     verdict = est.sp >= 0.8
     report = {

@@ -18,9 +18,12 @@ Masks reuse the clause prefix shared with the previous query of the request,
 so tree rules in depth-first order evaluate each shared prefix once.
 
 Wire protocol: newline-delimited UTF-8 frames, one JSON object per line with
-sorted keys, at most MAX_FRAME_BYTES each. epsilon/delta and answer counts
-travel as decimal strings to avoid float round-trip drift. A query frame
-key that is unknown or holds the wrong JSON type is refused, never coerced,
+sorted keys, at most MAX_FRAME_BYTES each. The client writes its query and
+batch frames, and the curator its query digests, as text assembled from each
+clause's cached wire_text, byte for byte what json.dumps would write.
+epsilon/delta and answer counts travel as decimal strings to avoid float
+round-trip drift. A query or batch frame key that is unknown or holds the
+wrong JSON type is refused, never coerced,
 and a clause value follows one rule in process and on the wire (check_value);
 clause ops ">=" and "!=" are accepted and canonicalized to negated "<" / "=". A
 "batch" frame carries a list of query frames and is answered by one
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import socket
 import socketserver
 import threading
@@ -48,7 +52,7 @@ from .data import Dataset, SensitiveTable
 from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
                      ProtocolError, RoutingError)
 from . import mechanisms as mech
-from .tree import SplitClause, check_value, prefix_masks
+from .tree import SplitClause, check_value, json_scalar, prefix_masks
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -57,6 +61,7 @@ IDLE_TIMEOUT_S = 300.0  # a server connection that sends nothing for this long i
 # the keys a query frame may hold and their JSON types; no other key is accepted
 _QUERY_FIELDS = {"type": str, "predicate": list, "epsilon": str, "mechanism": str, "delta": str,
                  "batch_id": (str, type(None)), "identity": str}
+_BATCH_FIELDS = {"type": str, "queries": list}
 
 
 @dataclass(frozen=True)
@@ -130,18 +135,15 @@ class CuratorQuery:
     batch_id: str | None = None  # parallel composition within this batch; None = sequential
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "clauses": [clause_to_wire(c) for c in self.clauses],
-                "epsilon": repr(float(self.epsilon)),
-                "mechanism": self.mechanism,
-                "composition": SEQUENTIAL if self.batch_id is None else PARALLEL,
-                "batch_id": self.batch_id,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        """The first 16 hex digits of the sha256 of the query's canonical
+        text: compact sorted-key JSON of batch_id, clauses (each clause's
+        wire_text), composition, epsilon (a repr string) and mechanism."""
+        batch_id = "null" if self.batch_id is None else json_scalar(self.batch_id)
+        composition = SEQUENTIAL if self.batch_id is None else PARALLEL
+        text = (f'{{"batch_id":{batch_id},"clauses":{_clause_list(self.clauses)},'
+                f'"composition":"{composition}","epsilon":{json_scalar(repr(float(self.epsilon)))},'
+                f'"mechanism":{json_scalar(self.mechanism)}}}')
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,9 @@ class Curator:
         allowed = mech.MECHANISMS + ((mech.EXACT,) if self._allow_exact else ())
         if query.mechanism not in allowed:
             raise MechanismError(f"mechanism {query.mechanism!r} not available")
+        for name, value in (("epsilon", query.epsilon), ("delta", query.delta)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} {value!r} is not a real number")
         params = mech.PrivacyParams(query.epsilon, query.delta)
         if query.mechanism == mech.GAUSSIAN:
             mech.gaussian_sigma(params)  # raises outside the Gaussian limits
@@ -236,8 +241,8 @@ class Curator:
 # ---------------------------------------------------------------------------
 # Frame encoding
 
-def clause_to_wire(c: SplitClause) -> dict:
-    return {"feature": c.feature, "op": c.op, "value": c.value, "negated": bool(c.negated)}
+def _clause_list(clauses) -> str:
+    return "[" + ",".join(c.wire_text for c in clauses) + "]"
 
 
 def clause_from_wire(d: dict) -> SplitClause:
@@ -265,29 +270,23 @@ def decode_frame(line: bytes) -> dict:
     return obj
 
 
-def query_to_frame(q: CuratorQuery, identity: str = "default") -> dict:
-    frame = {
-        "type": "query",
-        "predicate": [clause_to_wire(c) for c in q.clauses],
-        "epsilon": repr(float(q.epsilon)),
-        "mechanism": q.mechanism,
-    }
+def query_text(q: CuratorQuery, identity: str = "default") -> str:
+    """The query frame as encode_frame would write it, newline aside, put
+    together from each clause's wire_text. delta is left out when zero,
+    batch_id when None and identity when "default"."""
+    fields = [] if q.batch_id is None else [f'"batch_id":{json_scalar(q.batch_id)}']
     if q.delta:
-        frame["delta"] = repr(float(q.delta))
-    if q.batch_id is not None:
-        frame["batch_id"] = q.batch_id
+        fields.append(f'"delta":{json_scalar(repr(float(q.delta)))}')
+    fields.append(f'"epsilon":{json_scalar(repr(float(q.epsilon)))}')
     if identity != "default":
-        frame["identity"] = identity
-    return frame
+        fields.append(f'"identity":{json_scalar(identity)}')
+    fields.append(f'"mechanism":{json_scalar(q.mechanism)},"predicate":{_clause_list(q.clauses)}')
+    return "{" + ",".join(fields) + ',"type":"query"}'
 
 
 def frame_to_query(frame: dict) -> tuple[CuratorQuery, str]:
     """The query a frame carries and the identity that asks it."""
-    for key, value in frame.items():
-        if key not in _QUERY_FIELDS:
-            raise ProtocolError(f"unknown query frame key {key!r}")
-        if not isinstance(value, _QUERY_FIELDS[key]):
-            raise ProtocolError(f"query frame field {key!r} has the wrong JSON type")
+    _check_fields(frame, _QUERY_FIELDS, "query")
     try:
         clauses = tuple(clause_from_wire(c) for c in frame["predicate"])
         epsilon, delta = float(frame["epsilon"]), float(frame.get("delta", "0"))
@@ -300,12 +299,24 @@ def frame_to_query(frame: dict) -> tuple[CuratorQuery, str]:
     return CuratorQuery(clauses, epsilon, mechanism, delta, batch_id), identity
 
 
-def batch_to_frame(queries, identity: str = "default") -> dict:
-    return {"type": "batch", "queries": [query_to_frame(q, identity) for q in queries]}
+def batch_line(queries, identity: str = "default") -> bytes:
+    """The batch frame of the queries, newline included, as encode_frame
+    would write it."""
+    members = ",".join(query_text(q, identity) for q in queries)
+    return f'{{"queries":[{members}],"type":"batch"}}\n'.encode("utf-8")
+
+
+def _check_fields(frame: dict, fields: dict, kind: str) -> None:
+    for key, value in frame.items():
+        if key not in fields:
+            raise ProtocolError(f"unknown {kind} frame key {key!r}")
+        if not isinstance(value, fields[key]):
+            raise ProtocolError(f"{kind} frame field {key!r} has the wrong JSON type")
 
 
 def frame_to_batch(frame: dict) -> tuple[list[CuratorQuery], str]:
     """The queries a batch frame carries and the one identity that asks them."""
+    _check_fields(frame, _BATCH_FIELDS, "batch")
     members = frame.get("queries")
     if not isinstance(members, list) or not all(
         isinstance(q, dict) and q.get("type") == "query" for q in members
@@ -425,20 +436,20 @@ class WireClient:
         self._file = self._sock.makefile("rb")
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        request = query_to_frame(query, self.identity)
+        request = (query_text(query, self.identity) + "\n").encode("utf-8")
         return frame_to_answer(self._exchange(request, "answer"))
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
-        request = batch_to_frame(queries, self.identity)
-        answers = self._exchange(request, "answers").get("answers")
-        if not isinstance(answers, list) or len(answers) != len(request["queries"]):
+        queries = list(queries)
+        answers = self._exchange(batch_line(queries, self.identity), "answers").get("answers")
+        if not isinstance(answers, list) or len(answers) != len(queries):
             raise ProtocolError("the answers frame does not match the batch")
         return [frame_to_answer(a) for a in answers]
 
-    def _exchange(self, request: dict, expected: str) -> dict:
-        """Send one request frame; return the reply frame of the expected type
+    def _exchange(self, request: bytes, expected: str) -> dict:
+        """Send one request line; return the reply frame of the expected type
         or raise the curator's refusal or error."""
-        self._sock.sendall(encode_frame(request))
+        self._sock.sendall(request)
         line = self._file.readline()
         if not line:
             raise ProtocolError("curator closed the connection")

@@ -2,8 +2,9 @@
 
 The audit is one batch request to the curator: one tautology query (the
 overall group composition) at half the budget, then one half-budget query
-per favorable rule as a parallel batch of disjoint predicates, so the total
-spend is exactly the given epsilon. The curator answers the whole request or
+per favorable rule of the pruned tree (its audit_plan, compiled once per
+tree object) as a parallel batch of disjoint predicates, so the total spend
+is exactly the given epsilon. The curator answers the whole request or
 refuses it without charging anything. Per-group acceptance rates accumulate as
 repaired-rule-histogram over tautology-histogram, elementwise; the estimate
 is their min/max ratio. Invalid cells (negative, or larger than the public
@@ -19,7 +20,7 @@ import numpy as np
 
 from .curator import CuratorQuery
 from .errors import DegenerateEstimateError, ParameterError
-from .tree import DecisionTree, favorable_rules, prune_redundant
+from .tree import DecisionTree
 
 NEGATIVE_POLICIES = ("zero", "one", "uniform", "total-minus-valid")
 TOO_LARGE_POLICIES = ("uniform", "total-minus-valid")
@@ -106,16 +107,14 @@ def estimate_sp(
     """
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    pruned = prune_redundant(tree)
-    rules = favorable_rules(pruned)
+    rules = tree.audit_plan.rules
     half = epsilon / 2.0
 
     if batch_id is None:
         # a fresh nonce per audit, so a repeat audit opens a batch of its own
         batch_id = f"rules-{secrets.token_hex(8)}"
     queries = [CuratorQuery((), half, mechanism, delta)]
-    queries += [CuratorQuery(rule.clauses, half, mechanism, delta, batch_id)
-                for rule in rules]
+    queries += [CuratorQuery(clauses, half, mechanism, delta, batch_id) for clauses in rules]
     taut_answer, *rule_answers = client.ask_batch(queries)
     k = taut_answer.k
 

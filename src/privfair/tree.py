@@ -17,6 +17,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,16 @@ def check_value(feature, kind: str, value) -> None:
             raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
     elif not isinstance(value, str):
         raise DataError(f"clause value {value!r} on {feature!r} is not a string")
+
+
+def json_scalar(value) -> str:
+    """value as json.dumps writes it: a string ASCII-escaped, a finite float
+    by float.__repr__ (numpy floats included); anything else through json."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,16 @@ class SplitClause:
         if not isinstance(negated, bool):
             raise DataError(f"clause negated {negated!r} on {feature!r} is not a bool")
         return cls(feature, kind, float(value) if kind == NUMERIC else value, negated)
+
+    @cached_property
+    def wire_text(self) -> str:
+        """The clause as wire frames and query digests spell it, built on
+        first use: {feature, negated, op, value} as compact sorted-key JSON,
+        byte for byte what json.dumps(..., sort_keys=True,
+        separators=(",", ":")) writes for that object."""
+        return (f'{{"feature":{json_scalar(self.feature)},'
+                f'"negated":{"true" if self.negated else "false"},'
+                f'"op":"{self.op}","value":{json_scalar(self.value)}}}')
 
     def mask(self, data: Dataset) -> np.ndarray:
         if self.feature not in data.columns:
@@ -142,11 +165,26 @@ class Branch:
     count: int
 
 
+class AuditPlan(NamedTuple):
+    rules: tuple[tuple[SplitClause, ...], ...]  # the pruned tree's favourable rules, depth first
+    height: int  # the pruned tree's height
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     root: Leaf | Branch
     feature_kinds: dict[str, str]
     n_train: int
+
+    @cached_property
+    def audit_plan(self) -> AuditPlan:
+        """What an audit asks of this tree, compiled on its first audit and
+        kept for the life of the object: the clause tuples of
+        favorable_rules(prune_redundant(tree)) and the pruned height, which
+        is the length of the longest rule."""
+        rules = extract_rules(prune_redundant(self))
+        return AuditPlan(tuple(r.clauses for r in rules if r.decision == 1),
+                         max(len(r.clauses) for r in rules))
 
     @property
     def height(self) -> int:
@@ -193,14 +231,13 @@ class LearnerConfig:
 
 
 def _impurity(p1: np.ndarray, criterion: str) -> np.ndarray:
-    p1 = np.clip(p1, 0.0, 1.0)
+    """Impurity of class-1 fractions p1, each in [0, 1] (a count over a
+    larger or equal count). Entropy takes 0·log2(0) as 0: max(p, 5e-324) is
+    p for every p > 0, and at p = 0 the term is -0.0, which adds nothing."""
+    p0 = 1.0 - p1
     if criterion == "gini":
-        return 2.0 * p1 * (1.0 - p1)
-    out = np.zeros_like(p1, dtype=float)
-    for p in (p1, 1.0 - p1):
-        nz = p > 0
-        out[nz] -= p[nz] * np.log2(p[nz])
-    return out
+        return 2.0 * p1 * p0
+    return (0.0 - p1 * np.log2(np.maximum(p1, 5e-324))) - p0 * np.log2(np.maximum(p0, 5e-324))
 
 
 def _best_candidate(n_left, l1, ones, m, parent_imp, minleaf, criterion):

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 import threading
 
 import numpy as np
 import pytest
 
+from privfair import curator as C
 from privfair import data as D
 from privfair import mechanisms as mech
 from privfair.data import Dataset, SensitiveTable
@@ -211,3 +214,46 @@ def serve_in_background(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return thread
+
+
+# ---------------------------------------------------------------------------
+# The dict-plus-json.dumps wire writers and query digest that curator.py
+# assembles as text; the tests hold the assembled bytes equal to these.
+
+def clause_to_wire(c):
+    return {"feature": c.feature, "op": c.op, "value": c.value, "negated": bool(c.negated)}
+
+
+def query_to_frame(q, identity="default"):
+    frame = {
+        "type": "query",
+        "predicate": [clause_to_wire(c) for c in q.clauses],
+        "epsilon": repr(float(q.epsilon)),
+        "mechanism": q.mechanism,
+    }
+    if q.delta:
+        frame["delta"] = repr(float(q.delta))
+    if q.batch_id is not None:
+        frame["batch_id"] = q.batch_id
+    if identity != "default":
+        frame["identity"] = identity
+    return frame
+
+
+def batch_to_frame(queries, identity="default"):
+    return {"type": "batch", "queries": [query_to_frame(q, identity) for q in queries]}
+
+
+def reference_digest(q):
+    payload = json.dumps(
+        {
+            "clauses": [clause_to_wire(c) for c in q.clauses],
+            "epsilon": repr(float(q.epsilon)),
+            "mechanism": q.mechanism,
+            "composition": C.SEQUENTIAL if q.batch_id is None else C.PARALLEL,
+            "batch_id": q.batch_id,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -14,7 +14,8 @@ from privfair.errors import (REFUSAL_REASONS, BudgetRefusal, DataError, Mechanis
                              ParameterError, ProtocolError)
 from privfair.tree import SplitClause, rule_mask
 
-from conftest import FIXTURES, replay, serve_in_background
+from conftest import (FIXTURES, batch_to_frame, clause_to_wire, query_to_frame, reference_digest,
+                      replay, serve_in_background)
 
 
 def fixed_tables():
@@ -346,7 +347,7 @@ def test_batch_spanning_two_requests_is_still_checked_for_overlap():
 
 def test_clause_wire_roundtrip():
     for rc in (lt("x", 3.5), lt("x", 3.5, True), eq("c", "a"), eq("c", "a", True)):
-        assert C.clause_from_wire(C.clause_to_wire(rc)) == rc
+        assert C.clause_from_wire(clause_to_wire(rc)) == rc
 
 
 def test_clause_wire_accepts_ge_and_ne():
@@ -358,11 +359,11 @@ def test_clause_wire_accepts_ge_and_ne():
 
 def test_query_frame_roundtrip():
     q = C.CuratorQuery((lt("x", 2.0), eq("c", "b", True)), 0.25, "laplace", batch_id="batch-7")
-    frame = C.query_to_frame(q)
+    frame = query_to_frame(q)
     assert frame["epsilon"] == "0.25"
     assert C.frame_to_query(frame) == (q, "default")
     assert "identity" not in frame
-    assert C.frame_to_query(C.query_to_frame(q, "alice")) == (q, "alice")
+    assert C.frame_to_query(query_to_frame(q, "alice")) == (q, "alice")
 
 
 def test_counts_travel_as_decimal_strings():
@@ -382,7 +383,7 @@ def test_process_frame_malformed_returns_error_frame():
 
 def test_process_frame_over_budget_refusal():
     cur = fixed_curator(total_epsilon=0.1)
-    frame = C.query_to_frame(C.CuratorQuery((), 0.5, "laplace"))
+    frame = query_to_frame(C.CuratorQuery((), 0.5, "laplace"))
     reply = C.process_frame(cur, C.encode_frame(frame))
     assert reply["type"] == "refusal"
     assert float(reply["remaining_epsilon"]) == pytest.approx(0.1)
@@ -477,8 +478,8 @@ def test_mistyped_clause_field_gets_error_frame_and_draws_no_noise(clause):
     # answered), "nan" and "5" parsed as floats, true as 1.0, null and 5 as
     # the strings "None" and "5"
     cur = fixed_curator(total_epsilon=1.0, seed=47)
-    query = {**C.query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [clause]}
-    batch = C.batch_to_frame(audit_queries())
+    query = {**query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [clause]}
+    batch = batch_to_frame(audit_queries())
     batch["queries"][1]["predicate"].append(clause)
     for frame in (query, batch):
         reply = C.process_frame(cur, C.encode_frame(frame))
@@ -507,6 +508,44 @@ def test_in_process_clause_value_follows_the_wire_rule(value):
     got = cur.answer_batch(audit_queries())
     want = fresh.answer_batch(audit_queries())
     assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("extra", [{"identiy": "alice"}, {"identity": "alice"},
+                                   {"batch_id": "b"}, {"queries": [], "epsilon": "0.5"}],
+                         ids=["misspelt-identity", "identity", "batch-id", "epsilon"])
+def test_unknown_batch_frame_key_gets_error_frame_and_draws_no_noise(extra):
+    # only "queries" was checked: the misspelt identity was answered and
+    # charged 0.5 to "default"
+    cur = fixed_curator(total_epsilon=1.0, seed=59)
+    frame = {**batch_to_frame(audit_queries()), **extra}
+    reply = C.process_frame(cur, C.encode_frame(frame))
+    assert reply["type"] == "error" and "batch frame key" in reply["message"]
+    assert cur.ledger().spent == 0.0 and cur.ledger("alice").spent == 0.0
+    assert cur.ledger().entries == []
+    fresh = fixed_curator(total_epsilon=1.0, seed=59)
+    got = cur.answer_batch(audit_queries())
+    want = fresh.answer_batch(audit_queries())
+    assert [a.counts.tobytes() for a in got] == [a.counts.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("epsilon, delta", [
+    (True, 0.0), ("0.5", 0.0), (None, 0.0), (np.bool_(True), 0.0), (0.5, False), (0.5, "0"),
+], ids=["epsilon-bool", "epsilon-text", "epsilon-none", "epsilon-numpy-bool", "delta-bool",
+        "delta-text"])
+def test_in_process_epsilon_and_delta_must_be_real_numbers(epsilon, delta):
+    # epsilon True was answered and charged 1.0, and "0.5" escaped as a bare TypeError
+    cur = fixed_curator(total_epsilon=2.0, seed=61)
+    with pytest.raises(ParameterError, match="not a real number"):
+        cur.answer(C.CuratorQuery((), epsilon, "laplace", delta))
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+    fresh = fixed_curator(total_epsilon=2.0, seed=61)
+    got = cur.answer(C.CuratorQuery((), np.float64(0.5), "laplace"))
+    want = fresh.answer(C.CuratorQuery((), 0.5, "laplace"))
+    assert got.counts.tobytes() == want.counts.tobytes()
+    # an int epsilon is a real number, hashed as the float it equals
+    assert cur.answer(C.CuratorQuery((), 1, "laplace")).digest == \
+        C.CuratorQuery((), 1.0, "laplace").digest()
 
 
 def test_deeply_nested_frame_gets_error_frame():
@@ -597,15 +636,41 @@ def test_process_frame_never_raises_and_ledger_holds(frames):
 def test_answer_frame_matches_query_digest():
     cur = fixed_curator(seed=23)
     q = C.CuratorQuery((lt("x", 5.0),), 0.5, "laplace")
-    reply = C.process_frame(cur, C.encode_frame(C.query_to_frame(q)))
+    reply = C.process_frame(cur, C.encode_frame(query_to_frame(q)))
     assert reply["type"] == "answer"
     assert reply["digest"] == q.digest()
+
+
+# names and values with non-ASCII letters, quotes and backslashes
+wire_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6) \
+    | st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\u2603", "\U0001f600", "\n\t", ""])
+numeric_values = st.floats() | st.integers() | st.floats().map(np.float64) \
+    | st.sampled_from([-0.0, 5e-324, 1e308, np.float64(-0.0)])
+text_clauses = st.builds(SplitClause, wire_text, st.just("numeric"), numeric_values,
+                         st.booleans()) \
+    | st.builds(SplitClause, wire_text, st.just("categorical"), wire_text, st.booleans())
+text_queries = st.builds(
+    C.CuratorQuery, st.lists(text_clauses, max_size=4).map(tuple),
+    st.floats(min_value=1e-3, max_value=10.0), st.sampled_from(["laplace", "gaussian", "exp\u00f6"]),
+    st.sampled_from([0.0, 1e-5]) | st.floats(min_value=0.0, max_value=1.0),
+    st.none() | st.just("") | wire_text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(queries=st.lists(text_queries, max_size=4),
+       identity=st.just("default") | st.sampled_from(["alice", "b\u00f6b"]) | wire_text)
+def test_assembled_digest_and_frames_equal_the_json_references(queries, identity):
+    for q in queries:
+        assert q.digest() == reference_digest(q)
+        assert (C.query_text(q, identity) + "\n").encode("utf-8") == \
+            C.encode_frame(query_to_frame(q, identity))
+    assert C.batch_line(queries, identity) == C.encode_frame(batch_to_frame(queries, identity))
 
 
 def test_batch_frame_gets_one_answers_frame():
     queries = audit_queries()
     cur = fixed_curator(seed=61)
-    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(queries)))
+    reply = C.process_frame(cur, C.encode_frame(batch_to_frame(queries)))
     assert reply["type"] == "answers"
     ref = fixed_curator(seed=61)
     assert reply["answers"] == [C.answer_to_frame(ref.answer(q)) for q in queries]
@@ -615,7 +680,7 @@ def test_batch_frame_gets_one_answers_frame():
 def test_refused_batch_frame_charges_nothing():
     cur = fixed_curator(total_epsilon=1.0, seed=67)
     overlapping = C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b")
-    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(audit_queries() + [overlapping])))
+    reply = C.process_frame(cur, C.encode_frame(batch_to_frame(audit_queries() + [overlapping])))
     assert reply == C.refusal_frame(1.0, "not-disjoint")
     assert cur.ledger().spent == 0.0
     assert cur.ledger().entries == []
@@ -629,7 +694,7 @@ def test_refused_batch_frame_charges_nothing():
         {"type": "batch", "queries": {"type": "query"}},
         {"type": "batch", "queries": [1]},
         {"type": "batch", "queries": [{"type": "batch", "queries": []}]},
-        {"type": "batch", "queries": [C.query_to_frame(C.CuratorQuery((), 0.1, "laplace")),
+        {"type": "batch", "queries": [query_to_frame(C.CuratorQuery((), 0.1, "laplace")),
                                       {"type": "query", "mechanism": "laplace"}]},
     ],
     ids=["no-queries", "string", "object", "number", "nested-batch", "bad-member"],
@@ -643,8 +708,8 @@ def test_malformed_batch_frame_gets_error_frame(frame):
 
 def test_batch_frame_from_two_identities_gets_an_error_and_charges_nothing():
     cur = fixed_curator(total_epsilon=1.0, seed=43)
-    frame = C.batch_to_frame(audit_queries())
-    frame["queries"].append(C.query_to_frame(C.CuratorQuery((), 0.25, "laplace"), "other"))
+    frame = batch_to_frame(audit_queries())
+    frame["queries"].append(query_to_frame(C.CuratorQuery((), 0.25, "laplace"), "other"))
     reply = C.process_frame(cur, C.encode_frame(frame))
     assert reply == C.error_frame("a batch must come from a single identity")
     for identity in ("default", "other"):
@@ -671,7 +736,7 @@ def test_batch_id_key_keeps_the_parallel_flag_on_the_wire(batch_id):
     with pytest.raises(BudgetRefusal) as exc:
         cur.answer(query, identity)
     assert exc.value.reason == "missing-batch-id"
-    assert C.process_frame(cur, C.encode_frame(C.query_to_frame(query))) == reply
+    assert C.process_frame(cur, C.encode_frame(query_to_frame(query))) == reply
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +756,7 @@ def build_transcript() -> bytes:
     cur = fixed_curator(total_epsilon=1.0, seed=2024)
     out = b""
     for q in transcript_queries():
-        request = C.encode_frame(C.query_to_frame(q))
+        request = (C.query_text(q) + "\n").encode("utf-8")
         out += request
         out += C.encode_frame(C.process_frame(cur, request))
     return out
@@ -804,7 +869,7 @@ def test_refusal_names_its_cause(reason, last):
         cur.answer_batch(queries)
     assert exc.value.reason == reason
     assert str(exc.value).startswith(REFUSAL_REASONS[reason])
-    reply = C.process_frame(cur, C.encode_frame(C.batch_to_frame(queries)))
+    reply = C.process_frame(cur, C.encode_frame(batch_to_frame(queries)))
     assert reply == C.refusal_frame(1.0, reason)
     assert ("reason" in reply) == (reason != "budget")  # a budget refusal frame is unchanged
     server = serving(cur)
@@ -843,7 +908,7 @@ def test_frame_over_the_cap_gets_an_error_and_the_connection_closes():
     try:
         with socket.create_connection(server.address, timeout=30) as sock:
             reader = sock.makefile("rb")
-            line = C.encode_frame(C.query_to_frame(C.CuratorQuery((), 0.5, "laplace")))
+            line = C.encode_frame(query_to_frame(C.CuratorQuery((), 0.5, "laplace")))
             padded = line[:-2] + b" " * (2 * C.MAX_FRAME_BYTES) + line[-2:]
             try:
                 sock.sendall(padded)

@@ -240,6 +240,27 @@ def test_repeat_audits_on_one_curator_each_get_a_batch():
     assert cur.ledger().spent == pytest.approx(2 * eps, abs=1e-15)
 
 
+def test_audit_plan_is_compiled_once_per_tree_object(monkeypatch):
+    # every audit used to prune the tree and extract its rules again
+    ds, table = make_dataset(n=200, seed=3)
+    tree = T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02))
+    pruned = []
+    prune_redundant = T.prune_redundant
+    monkeypatch.setattr(T, "prune_redundant", lambda t: pruned.append(t) or prune_redundant(t))
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    first = [E.estimate_sp(tree, client, 0.5, population=ds.n, batch_id=f"b{i}") for i in (1, 2)]
+    assert pruned == [tree] and all(t is tree for t in pruned)
+    twin = T.from_record(T.to_record(tree))  # an equal tree, but a second object
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    second = [E.estimate_sp(twin, client, 0.5, population=ds.n, batch_id=f"b{i}") for i in (1, 2)]
+    assert len(pruned) == 2 and pruned[1] is twin
+    assert second == first
+    assert twin.audit_plan == tree.audit_plan and twin.audit_plan is not tree.audit_plan
+    assert tree.audit_plan.rules == tuple(
+        r.clauses for r in T.favorable_rules(prune_redundant(tree)))
+    assert tree.audit_plan.height == prune_redundant(tree).height
+
+
 def test_query_count_within_height_bounds():
     ds, table = make_dataset(n=300, seed=9, label_noise=1.0)
     for seed in range(10):

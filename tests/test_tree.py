@@ -573,6 +573,32 @@ def reference_best_split(node, data, y, minleaf, config, rng, n_total):
     return (max(gain, 0.0), clause, left_mask)
 
 
+def reference_impurity(p1, criterion):
+    """_impurity as it was: a clip, then masked writes that skip p = 0."""
+    p1 = np.clip(p1, 0.0, 1.0)
+    if criterion == "gini":
+        return 2.0 * p1 * (1.0 - p1)
+    out = np.zeros_like(p1, dtype=float)
+    for p in (p1, 1.0 - p1):
+        nz = p > 0
+        out[nz] -= p[nz] * np.log2(p[nz])
+    return out
+
+
+def test_impurity_is_bit_identical_to_the_masked_reference():
+    rng = np.random.default_rng(20261020)
+    edges = np.array([0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2.0 ** -53])
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        total = rng.integers(1, 2000, n).astype(float)
+        fractions = np.floor(rng.random(n) * (total + 1)) / total  # 0 and 1 included
+        for p1 in (fractions, rng.random(n), np.concatenate([fractions, edges])):
+            for criterion in ("entropy", "gini"):
+                # tobytes: equal bits, the sign of a zero included
+                assert T._impurity(p1, criterion).tobytes() == \
+                    reference_impurity(p1, criterion).tobytes()
+
+
 def reference_fit(data, config):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_best_split", reference_best_split)
