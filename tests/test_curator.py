@@ -642,23 +642,23 @@ def test_answer_frame_matches_query_digest():
 
 
 # names and values with non-ASCII letters, quotes and backslashes
-wire_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6) \
+wire_strings = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6) \
     | st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\u2603", "\U0001f600", "\n\t", ""])
 numeric_values = st.floats() | st.integers() | st.floats().map(np.float64) \
     | st.sampled_from([-0.0, 5e-324, 1e308, np.float64(-0.0)])
-text_clauses = st.builds(SplitClause, wire_text, st.just("numeric"), numeric_values,
+text_clauses = st.builds(SplitClause, wire_strings, st.just("numeric"), numeric_values,
                          st.booleans()) \
-    | st.builds(SplitClause, wire_text, st.just("categorical"), wire_text, st.booleans())
+    | st.builds(SplitClause, wire_strings, st.just("categorical"), wire_strings, st.booleans())
 text_queries = st.builds(
     C.CuratorQuery, st.lists(text_clauses, max_size=4).map(tuple),
     st.floats(min_value=1e-3, max_value=10.0), st.sampled_from(["laplace", "gaussian", "exp\u00f6"]),
     st.sampled_from([0.0, 1e-5]) | st.floats(min_value=0.0, max_value=1.0),
-    st.none() | st.just("") | wire_text)
+    st.none() | st.just("") | wire_strings)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(queries=st.lists(text_queries, max_size=4),
-       identity=st.just("default") | st.sampled_from(["alice", "b\u00f6b"]) | wire_text)
+       identity=st.just("default") | st.sampled_from(["alice", "b\u00f6b"]) | wire_strings)
 def test_assembled_digest_and_frames_equal_the_json_references(queries, identity):
     for q in queries:
         assert q.digest() == reference_digest(q)
