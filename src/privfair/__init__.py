@@ -24,8 +24,6 @@ from .curator import BudgetLedger, Curator, CuratorQuery, InProcessClient, WireC
 from .tree import (  # noqa: F401
     DecisionTree,
     LearnerConfig,
-    RulePredicate,
-    extract_rules,
     fit,
     prune_redundant,
     query_count_bounds,

@@ -50,7 +50,6 @@ from .tree import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_BUDGET = 4
 EXIT_PROTOCOL = 5

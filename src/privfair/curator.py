@@ -22,10 +22,11 @@ sorted keys, at most MAX_FRAME_BYTES each. The client writes its query and
 batch frames, and the curator its query digests, as text assembled from each
 clause's cached wire_text, byte for byte what json.dumps would write.
 epsilon/delta and answer counts travel as decimal strings to avoid float
-round-trip drift. A query or batch frame key that is unknown or holds the
-wrong JSON type is refused, never coerced,
-and a clause value follows one rule in process and on the wire (check_value);
-clause ops ">=" and "!=" are accepted and canonicalized to negated "<" / "=". A
+round-trip drift. A query, batch or clause frame key that is unknown or
+holds the wrong JSON type is refused, never coerced. A clause is an object
+with the keys feature, op ("<" or "="), value and an optional negated; it is
+checked by the SplitClause it builds, so one rule holds in process and on
+the wire, and a numeric value is stored as a float whatever its JSON. A
 "batch" frame carries a list of query frames and is answered by one
 "answers" frame, or by one refusal or error frame for the whole batch. A
 refusal frame carries the remaining budget and, unless the budget itself
@@ -52,7 +53,7 @@ from .data import Dataset, SensitiveTable
 from .errors import (REFUSAL_REASONS, BudgetRefusal, DataError, MechanismError, ParameterError,
                      ProtocolError, RoutingError)
 from . import mechanisms as mech
-from .tree import SplitClause, check_value, json_scalar, prefix_masks
+from .tree import SplitClause, json_scalar, prefix_masks
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -62,6 +63,7 @@ IDLE_TIMEOUT_S = 300.0  # a server connection that sends nothing for this long i
 _QUERY_FIELDS = {"type": str, "predicate": list, "epsilon": str, "mechanism": str, "delta": str,
                  "batch_id": (str, type(None)), "identity": str}
 _BATCH_FIELDS = {"type": str, "queries": list}
+_CLAUSE_KEYS = frozenset(("feature", "op", "value", "negated"))
 
 
 @dataclass(frozen=True)
@@ -213,14 +215,13 @@ class Curator:
         params = mech.PrivacyParams(query.epsilon, query.delta)
         if query.mechanism == mech.GAUSSIAN:
             mech.gaussian_sigma(params)  # raises outside the Gaussian limits
+        # a clause checked itself when built; only the table can refuse it now
+        kinds = self._data.feature_kinds
         for c in query.clauses:
-            if c.feature not in self._data.columns:
+            if c.feature not in kinds:
                 raise RoutingError(c.feature)
-            # refuse now a clause that the ledger could not hash or the mask could not compare
-            kind = self._data.feature_kinds.get(c.feature)
-            if kind is not None and kind != c.kind:
-                raise DataError(f"feature {c.feature!r} is {kind}, not {c.kind}")
-            check_value(c.feature, c.kind, c.value)
+            if kinds[c.feature] != c.kind:
+                raise DataError(f"feature {c.feature!r} is {kinds[c.feature]}, not {c.kind}")
         return params
 
     def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
@@ -245,15 +246,16 @@ def _clause_list(clauses) -> str:
     return "[" + ",".join(c.wire_text for c in clauses) + "]"
 
 
-def clause_from_wire(d: dict) -> SplitClause:
-    """The clause a wire dict spells; DataError names a field of the wrong
-    JSON type, KeyError a missing one."""
-    op, negated = d["op"], d.get("negated", False)
-    if op not in (">=", "!="):
-        return SplitClause.from_op(d["feature"], op, d["value"], negated)
-    # ">=" and "!=" are the negations of "<" and "="
-    c = SplitClause.from_op(d["feature"], "<" if op == ">=" else "=", d["value"], negated)
-    return SplitClause(c.feature, c.kind, c.value, not c.negated)
+def clause_from_wire(d) -> SplitClause:
+    """The clause a wire object spells; DataError names a key outside the
+    clause key table or a field of the wrong JSON type, KeyError a missing
+    one."""
+    if not isinstance(d, dict):
+        raise DataError("a clause is not a JSON object")
+    for key in d:
+        if key not in _CLAUSE_KEYS:
+            raise DataError(f"unknown clause key {key!r}")
+    return SplitClause.from_op(d["feature"], d["op"], d["value"], d.get("negated", False))
 
 
 def encode_frame(obj: dict) -> bytes:

@@ -43,11 +43,16 @@ class Dataset:
 
     def __post_init__(self):
         n = len(self.instance_ids)
-        if set(self.feature_names) != set(self.columns):
-            raise DataError("feature_names and columns disagree")
+        if not set(self.feature_names) == self.feature_kinds.keys() == self.columns.keys():
+            raise DataError("feature_names, feature_kinds and columns disagree")
         for name, col in self.columns.items():
             if len(col) != n:
                 raise DataError(f"column {name!r} has length {len(col)}, expected {n}")
+            kind = self.feature_kinds[name]
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise DataError(f"column {name!r} has unknown kind {kind!r}")
+            if kind == NUMERIC and not np.issubdtype(col.dtype, np.number):
+                raise DataError(f"numeric column {name!r} has dtype {col.dtype}")
             _freeze(col)
         if len(self.labels) != n:
             raise DataError("labels length mismatch")

@@ -5,9 +5,10 @@ what makes a leaf-count budget well defined. Every leaf keeps its training
 count. A rule is the conjunction of the split clauses on a root-to-leaf path:
 a branch holds its clause as is, and the path to its right child carries the
 same clause negated. So the rule set of a tree is exhaustive and mutually
-exclusive over the instance space. Tree files and wire frames spell a clause
-as feature, op ("<" or "="), value and negated, and SplitClause.from_op is
-the one place such a spelling is checked.
+exclusive over the instance space, and a rule is just its clause tuple. A
+SplitClause checks itself when it is built, so every clause in process is
+valid. Tree files and wire frames spell a clause as feature, op ("<" or
+"="), value and negated, and SplitClause.from_op reads that spelling.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ _GAIN_TOL = 1e-12
 _OP_KINDS = {"<": NUMERIC, "=": CATEGORICAL}
 
 
-def check_value(feature, kind: str, value) -> None:
-    """DataError unless value is what a `kind` clause compares against: a
-    finite number that is not a bool, or a string. Wire, file and in-process
-    clauses all pass this one rule."""
-    if kind == NUMERIC:
-        # NaN, the infinities and ints beyond the float range fail the bound
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:
-            raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
-    elif not isinstance(value, str):
-        raise DataError(f"clause value {value!r} on {feature!r} is not a string")
-
-
 def json_scalar(value) -> str:
     """value as json.dumps writes it: a string ASCII-escaped, a finite float
     by float.__repr__ (numpy floats included); anything else through json."""
@@ -64,24 +52,41 @@ class SplitClause:
     value: float | str
     negated: bool = False
 
+    def __post_init__(self):
+        """The one clause check, whatever builds the clause: a string feature,
+        a known kind, a finite number that is not a bool (stored as a float,
+        so a clause and its digest do not depend on how it arrived) or a
+        string as the value, and a bool negated; DataError otherwise."""
+        feature, value = self.feature, self.value
+        if not isinstance(feature, str):
+            raise DataError(f"clause feature {feature!r} is not a string")
+        if self.kind == NUMERIC:
+            # NaN, the infinities and ints beyond the float range fail the bound
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not abs(value) <= sys.float_info.max:
+                raise DataError(f"clause value {value!r} on {feature!r} is not a finite number")
+            if type(value) is not float:
+                object.__setattr__(self, "value", float(value))
+        elif self.kind != CATEGORICAL:
+            raise DataError(f"unknown clause kind {self.kind!r}")
+        elif not isinstance(value, str):
+            raise DataError(f"clause value {value!r} on {feature!r} is not a string")
+        if not isinstance(self.negated, bool):
+            raise DataError(f"clause negated {self.negated!r} on {feature!r} is not a bool")
+
     @property
     def op(self) -> str:
         return "<" if self.kind == NUMERIC else "="
 
     @classmethod
     def from_op(cls, feature, op, value, negated=False) -> "SplitClause":
-        """The clause spelled `feature op value`, negated when asked. The
-        spelling is JSON: a string feature, "<" with a finite number (not a
-        bool) or "=" with a string, and a bool negated; DataError otherwise."""
+        """The clause spelled `feature op value`, negated when asked: "<" is
+        numeric and "=" categorical. DataError for any other op, and for what
+        __post_init__ refuses."""
         kind = _OP_KINDS.get(op) if isinstance(op, str) else None
         if kind is None:
             raise DataError(f"unknown clause op {op!r}")
-        if not isinstance(feature, str):
-            raise DataError(f"clause feature {feature!r} is not a string")
-        check_value(feature, kind, value)
-        if not isinstance(negated, bool):
-            raise DataError(f"clause negated {negated!r} on {feature!r} is not a bool")
-        return cls(feature, kind, float(value) if kind == NUMERIC else value, negated)
+        return cls(feature, kind, value, negated)
 
     @cached_property
     def wire_text(self) -> str:
@@ -106,14 +111,6 @@ class SplitClause:
             else:
                 m = codes == j
         return ~m if self.negated else m
-
-
-@dataclass(frozen=True)
-class RulePredicate:
-    """Conjunction of path clauses plus the leaf's decision class."""
-
-    clauses: tuple[SplitClause, ...]
-    decision: int
 
 
 def rule_mask(clauses, data: Dataset) -> np.ndarray:
@@ -179,12 +176,10 @@ class DecisionTree:
     @cached_property
     def audit_plan(self) -> AuditPlan:
         """What an audit asks of this tree, compiled on its first audit and
-        kept for the life of the object: the clause tuples of
-        favorable_rules(prune_redundant(tree)) and the pruned height, which
-        is the length of the longest rule."""
-        rules = extract_rules(prune_redundant(self))
-        return AuditPlan(tuple(r.clauses for r in rules if r.decision == 1),
-                         max(len(r.clauses) for r in rules))
+        kept for the life of the object: the favourable rules of the pruned
+        tree and its height."""
+        pruned = prune_redundant(self)
+        return AuditPlan(tuple(favorable_rules(pruned)), pruned.height)
 
     @property
     def height(self) -> int:
@@ -387,23 +382,16 @@ def predict_dataset(tree: DecisionTree, data: Dataset) -> np.ndarray:
     partition every table, so this is the tree's prediction; RoutingError
     names a feature of a favourable rule that the table lacks."""
     out = np.zeros(data.n, dtype=np.int64)
-    for m in prefix_masks([r.clauses for r in favorable_rules(tree)], data):
+    for m in prefix_masks(favorable_rules(tree), data):
         out[m] = 1
     return out
 
 
-def extract_rules(tree: DecisionTree) -> list[RulePredicate]:
-    """One rule per leaf; right branches contribute negated clauses.
-
-    A single-leaf tree yields one empty-conjunction rule that applies to
-    everyone.
-    """
-    return [RulePredicate(path, node.klass) for node, path in walk(tree.root)
-            if isinstance(node, Leaf)]
-
-
-def favorable_rules(tree: DecisionTree) -> list[RulePredicate]:
-    return [r for r in extract_rules(tree) if r.decision == 1]
+def favorable_rules(tree: DecisionTree) -> list[tuple[SplitClause, ...]]:
+    """The rule of each favourable (class 1) leaf, as its root-to-leaf clause
+    tuple, depth first. A single favourable leaf yields the empty
+    conjunction, which applies to everyone."""
+    return [path for node, path in walk(tree.root) if isinstance(node, Leaf) and node.klass == 1]
 
 
 def prune_redundant(tree: DecisionTree) -> DecisionTree:

@@ -12,6 +12,8 @@ from privfair.data import encode_sensitive, load_german, DATASET_ENCODINGS
 
 from conftest import FIXTURES, serve_in_background
 
+EXIT_USAGE = 2  # argparse's exit status for a usage error
+
 
 def run_cli(args):
     return cli.main(args)
@@ -374,7 +376,7 @@ def test_experiment_manifest_with_run_flags_is_a_usage_error(tmp_path, capsys, f
     ])
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
-    assert exc.value.code == cli.EXIT_USAGE
+    assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage:") and flags[0] in err
     assert not out.exists()

@@ -1,3 +1,4 @@
+import json
 import math
 import socket
 import threading
@@ -298,12 +299,9 @@ def test_answer_batch_matches_one_by_one(seed):
         (C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b"), BudgetRefusal),
         (C.CuratorQuery((), 0.25, "laplace", batch_id=""), BudgetRefusal),
         (C.CuratorQuery((), 0.6, "laplace"), BudgetRefusal),
-        (C.CuratorQuery((lt("x", "3"),), 0.25, "laplace"), DataError),
-        (C.CuratorQuery((eq("c", ["a"]),), 0.25, "laplace", batch_id="b"), DataError),
     ],
     ids=["unknown-feature", "gated-mechanism", "gaussian-limit", "overlapping",
-         "missing-batch-id", "over-budget", "non-numeric-threshold",
-         "unhashable-category"],
+         "missing-batch-id", "over-budget"],
 )
 def test_batch_with_a_bad_last_query_charges_nothing_and_draws_no_noise(last, error):
     cur = fixed_curator(total_epsilon=1.0, seed=43)
@@ -350,11 +348,39 @@ def test_clause_wire_roundtrip():
         assert C.clause_from_wire(clause_to_wire(rc)) == rc
 
 
-def test_clause_wire_accepts_ge_and_ne():
-    ge = C.clause_from_wire({"feature": "x", "op": ">=", "value": 3.5, "negated": False})
-    assert ge == lt("x", 3.5, negated=True)
-    ne = C.clause_from_wire({"feature": "c", "op": "!=", "value": "a", "negated": False})
-    assert ne == eq("c", "a", negated=True)
+def test_clause_wire_refuses_ge_and_ne():
+    # ">=" and "!=" were read as negated "<" and "="; no client sends them
+    cur = fixed_curator(total_epsilon=1.0, seed=97)
+    for clause in ({"feature": "x", "op": ">=", "value": 3.5, "negated": False},
+                   {"feature": "c", "op": "!=", "value": "a"}):
+        with pytest.raises(DataError, match="unknown clause op"):
+            C.clause_from_wire(clause)
+        frame = {**query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [clause]}
+        assert C.process_frame(cur, C.encode_frame(frame))["type"] == "error"
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+@pytest.mark.parametrize("feature, kind, value, negated", [
+    ("x", "numeric", "3", False),
+    ("c", "categorical", ["a"], False),
+    ("c", "categorical", 3, False),
+    ("x", "ordinal", 3.0, False),
+    (3, "numeric", 3.0, False),
+    ("x", "numeric", 3.0, np.bool_(True)),
+], ids=["non-numeric-threshold", "unhashable-category", "numeric-category", "unknown-kind",
+        "feature-number", "negated-numpy-bool"])
+def test_bad_clause_is_refused_when_built(feature, kind, value, negated):
+    with pytest.raises(DataError):
+        SplitClause(feature, kind, value, negated)
+
+
+def test_int_valued_clause_has_one_digest_in_process_and_on_the_wire():
+    # x < 5 was hashed with "value":5 in process but "value":5.0 once read from a frame
+    q = C.CuratorQuery((lt("x", 5),), 0.5, "laplace")
+    assert q.clauses == (lt("x", 5.0),) and type(q.clauses[0].value) is float
+    reply = C.process_frame(fixed_curator(seed=23), C.encode_frame(query_to_frame(q)))
+    assert reply["digest"] == q.digest() == fixed_curator(seed=23).answer(q).digest
 
 
 def test_query_frame_roundtrip():
@@ -464,19 +490,24 @@ MISTYPED_CLAUSES = [
     {"feature": "x", "op": "<", "value": "nan"},
     {"feature": "x", "op": "<", "value": "5"},
     {"feature": "x", "op": "<", "value": True},
-    {"feature": "x", "op": ">=", "value": math.inf},
+    {"feature": "x", "op": "<", "value": math.inf},
     {"feature": "c", "op": "=", "value": None},
-    {"feature": "c", "op": "!=", "value": 5},
+    {"feature": "c", "op": "=", "value": 5},
+    {"feature": "x", "op": "<", "value": 5.0, "negated": False, "negate": True},
+    ["x", "<", 5.0],
+    "x < 5",
 ]
 
 
 @pytest.mark.parametrize("clause", MISTYPED_CLAUSES, ids=[
     "negated-string", "negated-number", "numeric-nan-text", "numeric-text", "numeric-bool",
-    "numeric-infinity", "categorical-null", "categorical-number"])
+    "numeric-infinity", "categorical-null", "categorical-number", "misspelt-key", "list",
+    "string"])
 def test_mistyped_clause_field_gets_error_frame_and_draws_no_noise(clause):
     # each used to be coerced: "false" read as negated (the complement was
     # answered), "nan" and "5" parsed as floats, true as 1.0, null and 5 as
-    # the strings "None" and "5"
+    # the strings "None" and "5"; the misspelt "negate" key was dropped, so
+    # the un-negated clause was answered and charged
     cur = fixed_curator(total_epsilon=1.0, seed=47)
     query = {**query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [clause]}
     batch = batch_to_frame(audit_queries())
@@ -572,11 +603,11 @@ def perturbed(base, keys):
 
 wire_clauses = perturbed(
     st.fixed_dictionaries(
-        {"feature": st.just("x"), "op": st.sampled_from(["<", ">="]), "value": st.floats()},
+        {"feature": st.just("x"), "op": st.just("<"), "value": st.floats()},
         optional={"negated": st.booleans()},
     )
     | st.fixed_dictionaries(
-        {"feature": st.just("c"), "op": st.sampled_from(["=", "!="]),
+        {"feature": st.just("c"), "op": st.just("="),
          "value": st.sampled_from(["a", "b", "z"])},
         optional={"negated": st.booleans()},
     ),
@@ -644,7 +675,9 @@ def test_answer_frame_matches_query_digest():
 # names and values with non-ASCII letters, quotes and backslashes
 wire_strings = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6) \
     | st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9t\u00e9", "\u2603", "\U0001f600", "\n\t", ""])
-numeric_values = st.floats() | st.integers() | st.floats().map(np.float64) \
+# values a clause can be built with: finite, and ints within the float range
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+numeric_values = finite_floats | st.integers(-2 ** 64, 2 ** 64) | finite_floats.map(np.float64) \
     | st.sampled_from([-0.0, 5e-324, 1e308, np.float64(-0.0)])
 text_clauses = st.builds(SplitClause, wire_strings, st.just("numeric"), numeric_values,
                          st.booleans()) \
@@ -665,6 +698,37 @@ def test_assembled_digest_and_frames_equal_the_json_references(queries, identity
         assert (C.query_text(q, identity) + "\n").encode("utf-8") == \
             C.encode_frame(query_to_frame(q, identity))
     assert C.batch_line(queries, identity) == C.encode_frame(batch_to_frame(queries, identity))
+
+
+clause_dicts = json_values | perturbed(
+    st.fixed_dictionaries(
+        {"feature": st.sampled_from(["x", "zz"]), "op": st.just("<"),
+         "value": numeric_values | st.floats()},
+        optional={"negated": st.booleans()},
+    )
+    | st.fixed_dictionaries(
+        {"feature": st.sampled_from(["c", "x"]), "op": st.just("="), "value": wire_strings},
+        optional={"negated": st.booleans()},
+    ),
+    ["feature", "op", "value", "negated", "negate"],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clause_dicts)
+def test_wire_clause_is_refused_or_decodes_to_its_own_canonical_text(d):
+    cur = fixed_curator(total_epsilon=1.0, seed=101)
+    frame = {**query_to_frame(C.CuratorQuery((), 0.25, "laplace")), "predicate": [d]}
+    reply = C.process_frame(cur, C.encode_frame(frame))
+    if reply["type"] == "error":
+        assert all(ledger.spent == 0.0 and ledger.entries == [] for ledger in cur._ledgers.values())
+        return
+    assert reply["type"] == "answer"
+    canonical = {**d, "negated": d.get("negated", False)}
+    if d["op"] == "<":
+        canonical["value"] = float(d["value"])
+    assert C.clause_from_wire(d).wire_text == json.dumps(canonical, sort_keys=True,
+                                                         separators=(",", ":"))
 
 
 def test_batch_frame_gets_one_answers_frame():

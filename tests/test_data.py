@@ -537,6 +537,20 @@ def test_codes_leave_equality_and_repr_alone():
         "instance_ids", "feature_names", "feature_kinds", "columns", "labels"]
 
 
+@pytest.mark.parametrize("kinds", [
+    {"x": D.NUMERIC},
+    {"x": D.NUMERIC, "c": D.NUMERIC},
+    {"x": D.NUMERIC, "c": "ordinal"},
+    {"x": D.NUMERIC, "c": D.CATEGORICAL, "z": D.NUMERIC},
+], ids=["str-column-left-out", "str-column-called-numeric", "unknown-kind", "extra-kind"])
+def test_dataset_refuses_feature_kinds_that_do_not_match_its_columns(kinds):
+    # a curator on such a table charged a numeric clause on c, then failed
+    # in numpy's comparison: budget spent and no answer
+    with pytest.raises(DataError):
+        D.Dataset(np.arange(2), ("x", "c"), kinds,
+                  {"x": np.array([1.0, 2.0]), "c": np.array(["a", "b"])}, np.array([0, 1]))
+
+
 def test_take_forwards_the_codes_its_parent_built_and_builds_none(monkeypatch):
     col = np.array(["c", "a", "b", "a", "c", "b"])
     parent = D.Dataset(np.arange(6), ("c", "d"), {"c": D.CATEGORICAL, "d": D.CATEGORICAL},

@@ -256,8 +256,7 @@ def test_audit_plan_is_compiled_once_per_tree_object(monkeypatch):
     assert len(pruned) == 2 and pruned[1] is twin
     assert second == first
     assert twin.audit_plan == tree.audit_plan and twin.audit_plan is not tree.audit_plan
-    assert tree.audit_plan.rules == tuple(
-        r.clauses for r in T.favorable_rules(prune_redundant(tree)))
+    assert tree.audit_plan.rules == tuple(T.favorable_rules(prune_redundant(tree)))
     assert tree.audit_plan.height == prune_redundant(tree).height
 
 
@@ -282,12 +281,12 @@ def test_only_favorable_rules_queried():
     digests = {entry.digest for entry in cur.ledger().entries}
     from privfair.curator import CuratorQuery
 
-    for rule in T.extract_rules(tree):
-        if rule.decision == 1:
+    for node, clauses in T.walk(tree.root):
+        if not isinstance(node, T.Leaf) or node.klass == 1:
             continue
         # any unfavorable predicate, parallel or sequential, is absent
         for batch in ("b", None):
-            probe = CuratorQuery(rule.clauses, 0.5, "exact", batch_id=batch)
+            probe = CuratorQuery(clauses, 0.5, "exact", batch_id=batch)
             assert probe.digest() not in digests
 
 

@@ -199,17 +199,23 @@ def test_predict_reads_no_feature_of_an_all_unfavourable_subtree():
     assert T.predict_dataset(T.prune_redundant(tree), probe).tolist() == [1, 0, 0]
 
 
+def leaf_rules(tree):
+    """(clause tuple, class) of every leaf, depth first."""
+    return [(path, node.klass) for node, path in T.walk(tree.root) if isinstance(node, T.Leaf)]
+
+
 def test_predict_matches_exactly_one_rule():
     ds, _ = make_dataset(n=300, seed=5)
     tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.02))
-    rules = T.extract_rules(tree)
+    rules = leaf_rules(tree)
     probe = random_instances(ds, 200, seed=7)
-    masks = [T.rule_mask(rule.clauses, probe) for rule in rules]
+    masks = [T.rule_mask(clauses, probe) for clauses, _ in rules]
     assert (np.sum(masks, axis=0) == 1).all()
     want = np.zeros(probe.n, dtype=int)
-    for rule, mask in zip(rules, masks):
-        want[mask] = rule.decision
+    for (_, klass), mask in zip(rules, masks):
+        want[mask] = klass
     assert np.array_equal(T.predict_dataset(tree, probe), want)
+    assert T.favorable_rules(tree) == [clauses for clauses, klass in rules if klass == 1]
 
 
 @pytest.mark.parametrize("value", ["0", "b0", "zz", "a ", ""])
@@ -224,15 +230,14 @@ def test_categorical_value_absent_from_column_matches_no_row(value):
 
 
 # ---------------------------------------------------------------------------
-# extract_rules
+# rule extraction: a rule is its root-to-leaf clause tuple
 
 def test_extract_rules_single_leaf_tautology():
     ds = tiny_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [1, 1, 1, 1])
     tree = T.fit(ds, T.LearnerConfig(max_height=1, minleaf_fraction=0.3))
-    rules = T.extract_rules(tree)
-    assert len(rules) == 1
-    assert rules[0].clauses == ()
-    assert T.rule_mask(rules[0].clauses, tiny_dataset({"x": [-999.0]}, [0])).all()
+    assert leaf_rules(tree) == [((), 1)]
+    assert T.favorable_rules(tree) == [()]
+    assert T.rule_mask((), tiny_dataset({"x": [-999.0]}, [0])).all()
 
 
 def test_extract_rules_balanced_tree_counts():
@@ -248,16 +253,16 @@ def test_extract_rules_balanced_tree_counts():
         )
 
     tree = T.DecisionTree(perfect(3), {f"x{i}": "numeric" for i in (1, 2, 3)}, 8)
-    assert len(T.extract_rules(tree)) == 8
+    assert len(leaf_rules(tree)) == 8
+    assert len(T.favorable_rules(tree)) == 4  # the odd leaves
 
 
 def test_every_training_instance_matches_one_rule():
     ds, _ = make_dataset(n=250, seed=11)
     tree = T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02))
-    rules = T.extract_rules(tree)
     hits = np.zeros(ds.n, dtype=int)
-    for rule in rules:
-        hits += T.rule_mask(rule.clauses, ds).astype(int)
+    for clauses, _ in leaf_rules(tree):
+        hits += T.rule_mask(clauses, ds).astype(int)
     assert (hits == 1).all()
 
 
@@ -265,7 +270,7 @@ def test_every_training_instance_matches_one_rule():
 def test_prefix_masks_equal_rule_mask(height):
     ds, _ = make_dataset(n=300, seed=5)
     tree = T.fit(ds, T.LearnerConfig(max_height=height, minleaf_fraction=0.01))
-    paths = [rule.clauses for rule in T.extract_rules(tree)]
+    paths = [clauses for clauses, _ in leaf_rules(tree)]
     assert max(len(p) for p in paths) >= min(height, 3)
     prefixes = [p[:i] for p in paths for i in range(len(p) + 1)]  # rules that prefix others
     rng = np.random.default_rng(height)
