@@ -37,7 +37,7 @@ from .errors import (
 )
 from .estimator import InvalidPolicy, estimate_sp
 from .experiments import config_from_manifest, preset_config, run_and_save
-from .mechanisms import EXACT, MECHANISMS
+from .mechanisms import MECHANISMS
 from .metrics import balanced_accuracy
 from .tree import (
     LearnerConfig,
@@ -170,7 +170,7 @@ def cmd_audit(args) -> int:
         curator = Curator(
             test_ds, sens_table,
             total_epsilon=args.epsilon if args.budget is None else args.budget,
-            seed=args.seed, allow_exact=args.allow_exact_stub,
+            seed=args.seed,
         )
         client = InProcessClient(curator)
         closer = lambda: None  # noqa: E731
@@ -202,7 +202,7 @@ def cmd_audit(args) -> int:
         "epsilon_spent": est.epsilon_spent,
         "eighty_percent_rule": bool(verdict),
         "mechanism": args.mechanism,
-        "sensitive": args.sensitive,
+        "sensitive": _definition(family, args.sensitive),
         "seed": args.seed,
     }
     print(f"statistical parity estimate: {est.sp:.6f}")
@@ -226,6 +226,9 @@ def cmd_curator_serve(args) -> int:
         raise ParameterError("curator-serve needs --curator serve=ADDR")
     host, port = _parse_addr(addr)
     curator = Curator(test_ds, sens_table, total_epsilon=args.budget, seed=args.seed)
+    if args.seed is not None:
+        print(f"warning: --seed {args.seed} makes the noise reproducible; the privacy "
+              "guarantee does not hold against anyone who knows the seed", file=sys.stderr)
     try:
         server = CuratorServer(curator, host, port)
     except OSError as exc:
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ethnicity | sex | sex-ethnicity | raw:<attr> | attr=value[&attr=value]")
     p_audit.add_argument("--epsilon", type=float, required=True)
     p_audit.add_argument("--delta", type=float, default=0.0)
-    p_audit.add_argument("--mechanism", choices=MECHANISMS + (EXACT,), default="laplace")
+    p_audit.add_argument("--mechanism", choices=MECHANISMS, default="laplace")
     p_audit.add_argument("--policy", default="uniform,uniform",
                          help="<negative-rule>,<too-large-rule>")
     p_audit.add_argument("--curator", default="inproc", help="inproc | connect=HOST:PORT")
@@ -305,15 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="positive curator budget for inproc mode (default: epsilon)")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--out", help="machine-readable report path")
-    p_audit.add_argument("--allow-exact-stub", action="store_true",
-                         help="allow the noiseless test stub on the in-process curator")
     p_audit.set_defaults(func=cmd_audit)
 
     p_serve = sub.add_parser("curator-serve", help="host the curator wire protocol")
     _add_dataset_args(p_serve)
     p_serve.add_argument("--sensitive", required=True)
     p_serve.add_argument("--budget", type=float, required=True)
-    p_serve.add_argument("--seed", type=int, default=0)
+    p_serve.add_argument("--seed", type=int, help="reproducible noise (default: OS entropy)")
     p_serve.add_argument("--curator", required=True, help="serve=HOST:PORT")
     p_serve.set_defaults(func=cmd_curator_serve)
 

@@ -2,18 +2,19 @@
 
 The curator holds a private copy of the feature data plus the encoded
 sensitive groups. Every public answer passes through a DP mechanism; exact
-histograms never leave the process (the noiseless stub exists for tests and
-must be enabled explicitly). A per-identity ledger enforces sequential
+histograms never leave the process, and unseeded noise comes from OS entropy
+kept only in the generator. A per-identity ledger enforces sequential
 composition, with parallel batches charged once at their maximum epsilon.
 Their disjointness is declared by the predicates, never tested on the rows:
 each member holds the negation of a clause of every earlier member, as any
 two root-to-leaf paths of a tree do.
 
-Queries arrive as a request of one or more, answered all or nothing: every
-query is validated and the request admitted and charged before any row is
-read or noise drawn. So a refused or malformed request spends no budget and
-no randomness, and a refusal depends only on the request and the ledger.
-An audit is one such request (the tautology query plus every rule query).
+A query checks itself when built, so a bad one is never sent. A request of
+one or more is answered all or nothing: every query is checked against the
+table and the request admitted and charged before any row is read or noise
+drawn. So a refused or malformed request spends no budget and no randomness,
+and a refusal depends only on the request and the ledger. An audit is one
+such request (the tautology query plus every rule query).
 Masks reuse the clause prefix shared with the previous query of the request,
 so tree rules in depth-first order evaluate each shared prefix once.
 
@@ -41,11 +42,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +65,7 @@ IDLE_TIMEOUT_S = 300.0  # a server connection that sends nothing for this long i
 _QUERY_FIELDS = {"type": str, "predicate": list, "epsilon": str, "mechanism": str, "delta": str,
                  "batch_id": (str, type(None)), "identity": str}
 _BATCH_FIELDS = {"type": str, "queries": list}
+_ANSWER_FIELDS = {"type": str, "counts": list, "k": int, "mechanism": str, "digest": str}
 _CLAUSE_KEYS = frozenset(("feature", "op", "value", "negated"))
 
 
@@ -130,20 +133,38 @@ class BudgetLedger:
 
 @dataclass(frozen=True)
 class CuratorQuery:
+    """A histogram query; it checks itself when built and keeps its PrivacyParams."""
+
     clauses: tuple[SplitClause, ...]  # empty conjunction = tautology
     epsilon: float
     mechanism: str
     delta: float = 0.0
     batch_id: str | None = None  # parallel composition within this batch; None = sequential
+    params: mech.PrivacyParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mechanism not in mech.MECHANISMS:
+            raise MechanismError(f"mechanism {self.mechanism!r} not available")
+        for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
+            if type(value) is not float and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ParameterError(f"{name} {value!r} is not a real number")
+        params = mech.PrivacyParams(self.epsilon, self.delta)
+        if self.mechanism == mech.GAUSSIAN:
+            mech.gaussian_sigma(params)  # raises outside the Gaussian limits
+        if self.batch_id is not None and not isinstance(self.batch_id, str):
+            raise ParameterError(f"batch_id {self.batch_id!r} is not a string")
+        object.__setattr__(self, "params", params)
 
     def digest(self) -> str:
         """The first 16 hex digits of the sha256 of the query's canonical
         text: compact sorted-key JSON of batch_id, clauses (each clause's
-        wire_text), composition, epsilon (a repr string) and mechanism."""
+        wire_text), composition, delta if nonzero, epsilon and mechanism."""
         batch_id = "null" if self.batch_id is None else json_scalar(self.batch_id)
         composition = SEQUENTIAL if self.batch_id is None else PARALLEL
+        delta = f'"delta":"{float(self.delta)!r}",' if self.delta else ""
         text = (f'{{"batch_id":{batch_id},"clauses":{_clause_list(self.clauses)},'
-                f'"composition":"{composition}","epsilon":{json_scalar(repr(float(self.epsilon)))},'
+                f'"composition":"{composition}",{delta}"epsilon":"{float(self.epsilon)!r}",'
                 f'"mechanism":{json_scalar(self.mechanism)}}}')
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -164,8 +185,7 @@ class Curator:
         data: Dataset,
         sensitive: SensitiveTable,
         total_epsilon: float = 1.0,
-        seed: int = 0,
-        allow_exact: bool = False,
+        seed: int | None = None,
     ):
         if not np.array_equal(sensitive.instance_ids, data.instance_ids):
             raise DataError("sensitive table must align with the curator's data")
@@ -174,8 +194,7 @@ class Curator:
         self.k = sensitive.k
         self._default_budget = float(total_epsilon)
         self._ledgers: dict[str, BudgetLedger] = {}
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-        self._allow_exact = allow_exact
+        self._rng = np.random.Generator(np.random.PCG64(seed))  # no seed: fresh OS entropy
         self._lock = threading.Lock()
 
     def ledger(self, identity: str = "default") -> BudgetLedger:
@@ -195,47 +214,34 @@ class Curator:
         consumes no randomness."""
         queries = list(queries)
         with self._lock:
-            # validate before the ledger is touched: an invalid query costs nothing
-            params = [self._validate(q) for q in queries]
+            # check against the table before the ledger is touched: a bad query costs nothing
+            for q in queries:
+                self._validate(q)
             if not queries:
                 return []
             digests = [q.digest() for q in queries]
             self.ledger(identity).charge_all(queries, digests)
             masks = prefix_masks([q.clauses for q in queries], self._data)
-            return [self._sample(q, p, mask, d)
-                    for q, p, mask, d in zip(queries, params, masks, digests)]
+            return [self._sample(q, mask, d) for q, mask, d in zip(queries, masks, digests)]
 
-    def _validate(self, query: CuratorQuery) -> mech.PrivacyParams:
-        allowed = mech.MECHANISMS + ((mech.EXACT,) if self._allow_exact else ())
-        if query.mechanism not in allowed:
-            raise MechanismError(f"mechanism {query.mechanism!r} not available")
-        for name, value in (("epsilon", query.epsilon), ("delta", query.delta)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} {value!r} is not a real number")
-        params = mech.PrivacyParams(query.epsilon, query.delta)
-        if query.mechanism == mech.GAUSSIAN:
-            mech.gaussian_sigma(params)  # raises outside the Gaussian limits
-        # a clause checked itself when built; only the table can refuse it now
+    def _validate(self, query: CuratorQuery) -> None:
+        # the query and its clauses checked themselves when built; only the table can refuse it now
         kinds = self._data.feature_kinds
         for c in query.clauses:
             if c.feature not in kinds:
                 raise RoutingError(c.feature)
             if kinds[c.feature] != c.kind:
                 raise DataError(f"feature {c.feature!r} is {kinds[c.feature]}, not {c.kind}")
-        return params
 
-    def _sample(self, query: CuratorQuery, params: mech.PrivacyParams, mask: np.ndarray,
-                digest: str) -> CuratorAnswer:
+    def _sample(self, query: CuratorQuery, mask: np.ndarray, digest: str) -> CuratorAnswer:
         exact = np.bincount(self._groups[mask], minlength=self.k).astype(float)
         if query.mechanism == mech.LAPLACE:
-            counts = mech.laplace_histogram(exact, params, self._rng)
+            counts = mech.laplace_histogram(exact, query.params, self._rng)
         elif query.mechanism == mech.GAUSSIAN:
-            counts = mech.gaussian_histogram(exact, params, self._rng)
-        elif query.mechanism == mech.EXPONENTIAL:
-            # candidate answers range from zero to the rule's population
-            counts = mech.exponential_histogram(exact, int(mask.sum()), params, self._rng)
+            counts = mech.gaussian_histogram(exact, query.params, self._rng)
         else:
-            counts = mech.exact_histogram_stub(exact)
+            # candidate answers range from zero to the rule's population
+            counts = mech.exponential_histogram(exact, int(mask.sum()), query.params, self._rng)
         return CuratorAnswer(counts, self.k, query.mechanism, digest)
 
 
@@ -278,8 +284,8 @@ def query_text(q: CuratorQuery, identity: str = "default") -> str:
     batch_id when None and identity when "default"."""
     fields = [] if q.batch_id is None else [f'"batch_id":{json_scalar(q.batch_id)}']
     if q.delta:
-        fields.append(f'"delta":{json_scalar(repr(float(q.delta)))}')
-    fields.append(f'"epsilon":{json_scalar(repr(float(q.epsilon)))}')
+        fields.append(f'"delta":"{float(q.delta)!r}"')
+    fields.append(f'"epsilon":"{float(q.epsilon)!r}"')
     if identity != "default":
         fields.append(f'"identity":{json_scalar(identity)}')
     fields.append(f'"mechanism":{json_scalar(q.mechanism)},"predicate":{_clause_list(q.clauses)}')
@@ -342,10 +348,14 @@ def answer_to_frame(a: CuratorAnswer) -> dict:
 
 
 def frame_to_answer(frame: dict) -> CuratorAnswer:
+    """The answer a frame carries; ProtocolError unless it holds k finite counts."""
     try:
-        counts = np.array([float(c) for c in frame["counts"]], dtype=float)
-        return CuratorAnswer(counts, int(frame["k"]), frame["mechanism"], frame["digest"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        _check_fields(frame, _ANSWER_FIELDS, "answer")
+        counts = [float(c) for c in frame["counts"]]
+        if len(counts) != frame["k"] or not all(map(math.isfinite, counts)):
+            raise ProtocolError(f"bad answer frame: not {frame['k']} finite counts")
+        return CuratorAnswer(np.array(counts), frame["k"], frame["mechanism"], frame["digest"])
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"bad answer frame: {exc}") from None
 
 
@@ -373,7 +383,7 @@ def process_frame(curator: Curator, frame_line: bytes) -> dict:
         raise ProtocolError(f"unexpected frame type {frame['type']!r}")
     except BudgetRefusal as exc:
         return refusal_frame(exc.remaining_epsilon, exc.reason)
-    except (ProtocolError, MechanismError, ParameterError, DataError, KeyError) as exc:
+    except (ProtocolError, ParameterError, DataError, KeyError) as exc:
         return error_frame(str(exc))
 
 
@@ -438,25 +448,28 @@ class WireClient:
         self._file = self._sock.makefile("rb")
 
     def ask(self, query: CuratorQuery) -> CuratorAnswer:
-        request = (query_text(query, self.identity) + "\n").encode("utf-8")
-        return frame_to_answer(self._exchange(request, "answer"))
+        return self.ask_batch([query])[0]
 
     def ask_batch(self, queries) -> list[CuratorAnswer]:
+        """One batch frame each way; ProtocolError unless the answers fit the queries."""
         queries = list(queries)
-        answers = self._exchange(batch_line(queries, self.identity), "answers").get("answers")
+        answers = self._exchange(batch_line(queries, self.identity)).get("answers")
         if not isinstance(answers, list) or len(answers) != len(queries):
             raise ProtocolError("the answers frame does not match the batch")
-        return [frame_to_answer(a) for a in answers]
+        answers = [frame_to_answer(a) for a in answers]
+        if any(a.mechanism != q.mechanism or a.k != answers[0].k for q, a in zip(queries, answers)):
+            raise ProtocolError("the answers frame does not match the batch")
+        return answers
 
-    def _exchange(self, request: bytes, expected: str) -> dict:
-        """Send one request line; return the reply frame of the expected type
-        or raise the curator's refusal or error."""
+    def _exchange(self, request: bytes) -> dict:
+        """Send one request line; return the answers frame or raise the
+        curator's refusal or error."""
         self._sock.sendall(request)
         line = self._file.readline()
         if not line:
             raise ProtocolError("curator closed the connection")
         frame = decode_frame(line)
-        if frame["type"] == expected:
+        if frame["type"] == "answers":
             return frame
         if frame["type"] == "refusal":
             try:

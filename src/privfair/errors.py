@@ -9,7 +9,7 @@ class ParameterError(ValueError):
     """Privacy or learner parameter outside its admissible range."""
 
 
-class MechanismError(ValueError):
+class MechanismError(ParameterError):
     """Unknown or disallowed mechanism requested."""
 
 

@@ -103,10 +103,9 @@ def estimate_sp(
     The 1 + R queries go out in one client.ask_batch call. Raises
     BudgetRefusal if the curator refuses (nothing is spent then),
     DegenerateEstimateError if a denominator cell is nonpositive after repair
-    or every acceptance rate is zero.
+    or every acceptance rate is zero. A query that cannot be built raises
+    before anything is sent.
     """
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
     rules = tree.audit_plan.rules
     half = epsilon / 2.0
 

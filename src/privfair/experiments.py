@@ -298,8 +298,7 @@ def _progress(message: str, enabled: bool):
 
 def _audit(tree, data, sensitive, epsilon, seed, mechanism, config, sp_true) -> dict:
     """The audit fields of one record: `tree` audited by a fresh curator with budget epsilon."""
-    curator = Curator(data, sensitive, total_epsilon=epsilon, seed=seed,
-                      allow_exact=(mechanism == "exact"))
+    curator = Curator(data, sensitive, total_epsilon=epsilon, seed=seed)
     est = estimate_sp(
         tree, InProcessClient(curator), epsilon, population=data.n,
         mechanism=mechanism, policy=config.policy, delta=config.delta,

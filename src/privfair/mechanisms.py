@@ -19,9 +19,6 @@ from .errors import ParameterError
 LAPLACE = "laplace"
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
-# Noiseless passthrough, for oracle-equivalence tests only. The curator
-# refuses it unless explicitly constructed with allow_exact=True.
-EXACT = "exact"
 
 MECHANISMS = (LAPLACE, EXPONENTIAL, GAUSSIAN)
 
@@ -129,8 +126,3 @@ def gaussian_histogram(exact: np.ndarray, params: PrivacyParams, rng: np.random.
     """Each cell plus independent Normal(0, sigma) noise."""
     exact = np.asarray(exact, dtype=float)
     return exact + rng.normal(0.0, gaussian_sigma(params), exact.size)
-
-
-def exact_histogram_stub(exact: np.ndarray) -> np.ndarray:
-    """Noiseless passthrough used as the oracle-equivalence stub."""
-    return np.asarray(exact, dtype=float).copy()

@@ -88,6 +88,14 @@ def fixtures_dir():
     return FIXTURES
 
 
+@pytest.fixture
+def noiseless(monkeypatch):
+    """Laplace queries answered with their exact counts: the oracle for tests
+    that run the whole curator path (ledger, masks, bincount) without noise."""
+    monkeypatch.setattr(mech, "laplace_histogram",
+                        lambda exact, params, rng: np.asarray(exact, dtype=float).copy())
+
+
 def reference_predict(tree, instance):
     """Route one feature->value mapping to its leaf class by plain comparison."""
     node = tree.root
@@ -245,15 +253,14 @@ def batch_to_frame(queries, identity="default"):
 
 
 def reference_digest(q):
-    payload = json.dumps(
-        {
-            "clauses": [clause_to_wire(c) for c in q.clauses],
-            "epsilon": repr(float(q.epsilon)),
-            "mechanism": q.mechanism,
-            "composition": C.SEQUENTIAL if q.batch_id is None else C.PARALLEL,
-            "batch_id": q.batch_id,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    canonical = {
+        "clauses": [clause_to_wire(c) for c in q.clauses],
+        "epsilon": repr(float(q.epsilon)),
+        "mechanism": q.mechanism,
+        "composition": C.SEQUENTIAL if q.batch_id is None else C.PARALLEL,
+        "batch_id": q.batch_id,
+    }
+    if q.delta:
+        canonical["delta"] = repr(float(q.delta))
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

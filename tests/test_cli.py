@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from privfair import cli
-from privfair.curator import Curator, CuratorServer
+from privfair.curator import Curator, CuratorQuery, CuratorServer
 from privfair.data import encode_sensitive, load_german, DATASET_ENCODINGS
 
 from conftest import FIXTURES, serve_in_background
@@ -71,10 +71,9 @@ def audit_args(tree_file, extra=None):
     ] + (extra or []))
 
 
-def test_audit_noiseless_stub_matches_exact_sp(tree_file, tmp_path, capsys):
+def test_audit_noiseless_stub_matches_exact_sp(tree_file, tmp_path, capsys, noiseless):
     out = tmp_path / "report.json"
-    code = run_cli(audit_args(tree_file, ["--mechanism", "exact", "--allow-exact-stub",
-                                          "--out", str(out)]))
+    code = run_cli(audit_args(tree_file, ["--mechanism", "laplace", "--out", str(out)]))
     assert code == cli.EXIT_OK
     report = json.loads(out.read_text())
 
@@ -89,6 +88,16 @@ def test_audit_noiseless_stub_matches_exact_sp(tree_file, tmp_path, capsys):
     )
     assert report["sp_estimate"] == pytest.approx(want, abs=1e-12)
     assert report["eighty_percent_rule"] == (report["sp_estimate"] >= 0.8)
+
+
+@pytest.mark.parametrize("flag", [["--mechanism", "exact"], ["--allow-exact-stub"]],
+                         ids=["mechanism-exact", "allow-exact-stub"])
+def test_audit_has_no_noiseless_option(tree_file, flag, capsys):
+    # the noiseless stub was a mechanism choice behind a flag of its own
+    with pytest.raises(SystemExit) as exc:
+        cli.main(audit_args(tree_file, flag))
+    assert exc.value.code == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_audit_over_budget_exit_code(tree_file):
@@ -239,8 +248,13 @@ def audit_against_stub(tree_file, reply):
     lambda request: _answers(request),
     lambda request: _answers(request, counts=["x", "1.0"]),
     lambda request: {"type": "answers"},
+    lambda request: _answers(request, counts=["nan", "1.0"]),
+    lambda request: _answers(request, counts=["1.0"]),
+    lambda request: _answers(request, counts=["1.0", "1.0"], mechanism="gaussian"),
+    lambda request: _answers(request, counts=["1.0", "1.0"], noise="none"),
 ], ids=["refusal-without-remaining", "refusal-with-unknown-reason", "answer-without-counts",
-        "non-numeric-count", "answers-without-list"])
+        "non-numeric-count", "answers-without-list", "nan-count", "one-cell-for-k-2",
+        "wrong-mechanism", "unknown-answer-key"])
 def test_audit_malformed_curator_reply_is_protocol_error(tree_file, reply, capsys):
     assert audit_against_stub(tree_file, reply) == cli.EXIT_PROTOCOL
     assert "protocol error" in capsys.readouterr().err
@@ -251,6 +265,48 @@ def test_audit_prints_the_refusal_reason(tree_file, reason, capsys):
     reply = {"type": "refusal", "remaining_epsilon": "0.5", "reason": reason}
     assert audit_against_stub(tree_file, lambda request: reply) == cli.EXIT_BUDGET
     assert f"refused ({reason})" in capsys.readouterr().err
+
+
+def serve_capturing(monkeypatch, extra):
+    """The curator that `curator-serve` builds, without serving it."""
+    built = []
+
+    class Captured:
+        def __init__(self, curator, host, port):
+            built.append(curator)
+            self.address = (host, port)
+
+        def serve_forever(self):
+            pass
+
+        def shutdown(self):
+            pass
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(cli, "CuratorServer", Captured)
+    code = run_cli(["curator-serve"] + german_args([
+        "--sensitive", "sex", "--budget", "1.0", "--curator", "serve=127.0.0.1:0", *extra]))
+    assert code == cli.EXIT_OK
+    return built.pop()
+
+
+def test_curator_serve_without_a_seed_draws_noise_no_client_can_replay(monkeypatch, capsys):
+    # --seed defaulted to 0: anyone with the code could draw the noise and subtract it
+    query = CuratorQuery((), 0.1, "laplace")
+    first, second = (serve_capturing(monkeypatch, []).answer(query).counts for _ in range(2))
+    assert "warning" not in capsys.readouterr().err
+    _, (test_ds, test_sens) = load_german(FIXTURES / "german.data")
+    table = encode_sensitive(test_sens, DATASET_ENCODINGS["german"]["sex"])
+    replayed = Curator(test_ds, table, seed=0).answer(query).counts
+    assert not np.array_equal(first, second)
+    assert not np.array_equal(first, replayed) and not np.array_equal(second, replayed)
+    # an explicit seed replays its stream, and says what that costs
+    seeded = serve_capturing(monkeypatch, ["--seed", "0"]).answer(query).counts
+    assert np.array_equal(seeded, replayed)
+    err = capsys.readouterr().err
+    assert "warning: --seed 0" in err and "anyone who knows the seed" in err
 
 
 def test_curator_serve_and_reconnect_budget_persists(tree_file, tmp_path):
@@ -345,7 +401,9 @@ def test_experiment_2_1_from_exp2_manifest_writes_heatmap(tmp_path):
     lambda m: m.update(experiment="experiment9"),
     lambda m: m["config"].update(runs="many"),
     lambda m: m["config"].update(policy="uniform"),
-], ids=["missing-key", "unknown-key", "unknown-experiment", "bad-runs", "bad-policy"])
+    lambda m: m["config"].update(mechanisms=["exact"]),
+], ids=["missing-key", "unknown-key", "unknown-experiment", "bad-runs", "bad-policy",
+        "noiseless-mechanism"])
 def test_experiment_malformed_manifest_is_data_error(tmp_path, corrupt):
     manifest = small_exp2_manifest()
     corrupt(manifest)

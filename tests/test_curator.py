@@ -30,8 +30,8 @@ def fixed_tables():
     return ds, SensitiveTable(np.arange(n), np.array([0] * 10 + [1] * 10), ("g0", "g1"))
 
 
-def fixed_curator(total_epsilon=1.0, seed=0, allow_exact=False):
-    return C.Curator(*fixed_tables(), total_epsilon=total_epsilon, seed=seed, allow_exact=allow_exact)
+def fixed_curator(total_epsilon=1.0, seed=0):
+    return C.Curator(*fixed_tables(), total_epsilon=total_epsilon, seed=seed)
 
 
 def test_curator_refuses_a_sensitive_table_on_other_rows():
@@ -51,22 +51,22 @@ def eq(feature, value, negated=False):
 
 
 # ---------------------------------------------------------------------------
-# exact histogram through the gated noiseless stub
+# exact histogram through the noiseless fixture
 
 def exact_counts(clauses):
-    cur = fixed_curator(allow_exact=True)
-    return list(cur.answer(C.CuratorQuery(clauses, 0.1, "exact")).counts)
+    cur = fixed_curator()
+    return list(cur.answer(C.CuratorQuery(clauses, 0.1, "laplace")).counts)
 
 
-def test_exact_histogram_tautology():
+def test_exact_histogram_tautology(noiseless):
     assert exact_counts(()) == [10.0, 10.0]
 
 
-def test_exact_histogram_nobody():
+def test_exact_histogram_nobody(noiseless):
     assert exact_counts((lt("x", -5.0),)) == [0.0, 0.0]
 
 
-def test_exact_histogram_matches_brute_force_filter():
+def test_exact_histogram_matches_brute_force_filter(noiseless):
     # rule x < 5 matches rows 0..4, all group 0
     assert exact_counts((lt("x", 5.0),)) == [5.0, 0.0]
     # conjunction with c = a keeps even rows only
@@ -76,7 +76,7 @@ def test_exact_histogram_matches_brute_force_filter():
     assert got == [float(e) for e in expected]
 
 
-def test_exact_histogram_category_absent_from_column():
+def test_exact_histogram_category_absent_from_column(noiseless):
     assert exact_counts((eq("c", "zz"),)) == [0.0, 0.0]
     assert exact_counts((eq("c", "0"),)) == [0.0, 0.0]
     assert exact_counts((eq("c", "zz", negated=True),)) == [10.0, 10.0]
@@ -206,12 +206,59 @@ def test_exponential_answers_within_range():
 
 
 def test_exact_stub_gated():
+    # the noiseless "exact" mechanism is gone from the curator: no query can name it
+    with pytest.raises(MechanismError, match="mechanism 'exact' not available"):
+        C.CuratorQuery((), 0.5, "exact")
     cur = fixed_curator()
-    with pytest.raises(MechanismError):
-        cur.answer(C.CuratorQuery((), 0.5, "exact"))
-    cur2 = fixed_curator(allow_exact=True)
-    ans = cur2.answer(C.CuratorQuery((), 0.5, "exact"))
-    assert list(ans.counts) == [10.0, 10.0]
+    reply = C.process_frame(cur, raw_query_frame(epsilon="0.5", mechanism="exact"))
+    assert reply == C.error_frame("mechanism 'exact' not available")
+    assert cur.ledger().entries == []
+
+
+def test_a_curator_without_a_seed_draws_noise_no_client_can_replay():
+    # the default seed was 0, so any client with the code could draw the
+    # noise itself and subtract it
+    q = C.CuratorQuery((), 0.1, "laplace")
+    first, second = (C.Curator(*fixed_tables()).answer(q).counts for _ in range(2))
+    replayed = fixed_curator(seed=0).answer(q).counts
+    assert not np.array_equal(first, second)
+    assert not np.array_equal(first, replayed) and not np.array_equal(second, replayed)
+
+
+@pytest.mark.parametrize("epsilon, mechanism, delta, error", [
+    (0.25, "exact", 0.0, MechanismError),
+    (0.25, "Laplace", 0.0, MechanismError),
+    (1.5, "gaussian", 1e-5, ParameterError),
+    (0.5, "gaussian", 0.0, ParameterError),
+    (0.0, "laplace", 0.0, ParameterError),
+    (-0.5, "exponential", 0.0, ParameterError),
+    (math.nan, "laplace", 0.0, ParameterError),
+    (0.5, "laplace", 1.0, ParameterError),
+], ids=["gated-mechanism", "unknown-mechanism", "gaussian-limit", "gaussian-without-delta",
+        "zero-epsilon", "negative-epsilon", "nan-epsilon", "delta-one"])
+def test_bad_query_is_refused_when_built(epsilon, mechanism, delta, error):
+    # each was built, and refused only once a curator was asked it
+    with pytest.raises(error):
+        C.CuratorQuery((), epsilon, mechanism, delta)
+
+
+@pytest.mark.parametrize("batch_id", [5, b"b", ["b"]], ids=["number", "bytes", "list"])
+def test_in_process_batch_id_must_be_a_string(batch_id):
+    # batch_id=5 was answered and charged 0.5; the wire refuses it as a mistyped field
+    cur = fixed_curator(total_epsilon=1.0, seed=61)
+    with pytest.raises(ParameterError, match="is not a string"):
+        cur.answer(C.CuratorQuery((), 0.5, "laplace", batch_id=batch_id))
+    assert cur.ledger().spent == 0.0
+    assert cur.ledger().entries == []
+
+
+def test_digest_covers_a_nonzero_delta():
+    # delta 1e-6 and 0.9 gave one digest
+    digests = {C.CuratorQuery((), 0.5, "gaussian", d).digest() for d in (1e-6, 1e-5, 0.9)}
+    assert len(digests) == 3
+    # a zero delta stays out of the text, so the digest is what it was
+    assert C.CuratorQuery((), 0.5, "laplace", 0).digest() == \
+        C.CuratorQuery((), 0.5, "laplace").digest() == "b8276004ab95254f"
 
 
 def test_refusal_consumes_no_randomness():
@@ -294,14 +341,11 @@ def test_answer_batch_matches_one_by_one(seed):
     "last, error",
     [
         (C.CuratorQuery((lt("zz", 1.0),), 0.25, "laplace", batch_id="b"), KeyError),
-        (C.CuratorQuery((), 0.25, "exact"), MechanismError),
-        (C.CuratorQuery((), 1.5, "gaussian", delta=1e-5), ParameterError),
         (C.CuratorQuery((lt("x", 3.0),), 0.25, "laplace", batch_id="b"), BudgetRefusal),
         (C.CuratorQuery((), 0.25, "laplace", batch_id=""), BudgetRefusal),
         (C.CuratorQuery((), 0.6, "laplace"), BudgetRefusal),
     ],
-    ids=["unknown-feature", "gated-mechanism", "gaussian-limit", "overlapping",
-         "missing-batch-id", "over-budget"],
+    ids=["unknown-feature", "overlapping", "missing-batch-id", "over-budget"],
 )
 def test_batch_with_a_bad_last_query_charges_nothing_and_draws_no_noise(last, error):
     cur = fixed_curator(total_epsilon=1.0, seed=43)
@@ -682,11 +726,18 @@ numeric_values = finite_floats | st.integers(-2 ** 64, 2 ** 64) | finite_floats.
 text_clauses = st.builds(SplitClause, wire_strings, st.just("numeric"), numeric_values,
                          st.booleans()) \
     | st.builds(SplitClause, wire_strings, st.just("categorical"), wire_strings, st.booleans())
+text_predicates = st.lists(text_clauses, max_size=4).map(tuple)
+batch_ids = st.none() | st.just("") | wire_strings
 text_queries = st.builds(
-    C.CuratorQuery, st.lists(text_clauses, max_size=4).map(tuple),
-    st.floats(min_value=1e-3, max_value=10.0), st.sampled_from(["laplace", "gaussian", "exp\u00f6"]),
-    st.sampled_from([0.0, 1e-5]) | st.floats(min_value=0.0, max_value=1.0),
-    st.none() | st.just("") | wire_strings)
+    C.CuratorQuery, text_predicates, st.floats(min_value=1e-3, max_value=10.0),
+    st.sampled_from(["laplace", "exponential"]),
+    st.sampled_from([0.0, 1e-5]) | st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    batch_ids,
+) | st.builds(
+    C.CuratorQuery, text_predicates, st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    st.just("gaussian"), st.just(1e-5) | st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                                   exclude_max=True),
+    batch_ids)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -806,21 +857,23 @@ def test_batch_id_key_keeps_the_parallel_flag_on_the_wire(batch_id):
 # ---------------------------------------------------------------------------
 # conformance transcript
 
-def transcript_queries():
-    return [
+def transcript_requests():
+    queries = [
         C.CuratorQuery((), 0.25, "laplace"),
         C.CuratorQuery((lt("x", 5.0),), 0.25, "laplace", batch_id="b-1"),
         C.CuratorQuery((lt("x", 5.0, True), eq("c", "a")), 0.25, "laplace", batch_id="b-1"),
         C.CuratorQuery((), 2.0, "laplace"),          # over budget -> refusal
-        C.CuratorQuery((), 0.25, "exact"),           # gated stub -> error
     ]
+    # no CuratorQuery names "exact", so its frame is written as text -> error
+    exact = '{"epsilon":"0.25","mechanism":"exact","predicate":[],"type":"query"}'
+    return [C.query_text(q) for q in queries] + [exact]
 
 
 def build_transcript() -> bytes:
     cur = fixed_curator(total_epsilon=1.0, seed=2024)
     out = b""
-    for q in transcript_queries():
-        request = (C.query_text(q) + "\n").encode("utf-8")
+    for text in transcript_requests():
+        request = (text + "\n").encode("utf-8")
         out += request
         out += C.encode_frame(C.process_frame(cur, request))
     return out
@@ -845,7 +898,7 @@ def test_serve_answer_and_error_keeps_connection():
             ans = client.ask(C.CuratorQuery((), 0.5, "laplace"))
             assert ans.k == 2
             with pytest.raises(ProtocolError):
-                client.ask(C.CuratorQuery((), 0.5, "exact"))
+                client.ask(C.CuratorQuery((lt("zz", 1.0),), 0.5, "laplace"))
             # connection still usable after the error frame
             ans2 = client.ask(C.CuratorQuery((), 0.5, "laplace"))
             assert ans2.k == 2
@@ -909,7 +962,7 @@ def test_wire_ask_batch_matches_in_process():
             with pytest.raises(BudgetRefusal):
                 client.ask_batch(queries)  # the batch id is spent
             with pytest.raises(ProtocolError):
-                client.ask_batch([C.CuratorQuery((), 0.1, "exact")])
+                client.ask_batch([C.CuratorQuery((lt("zz", 1.0),), 0.1, "laplace")])
     finally:
         server.shutdown()
         server.server_close()
@@ -956,6 +1009,39 @@ def test_wire_ask_batch_rejects_a_short_answers_frame(monkeypatch):
         return {**reply, "answers": reply["answers"][:-1]}
 
     monkeypatch.setattr(C, "process_frame", drop_last)
+    server = serving(fixed_curator(seed=79))
+    try:
+        with C.WireClient(*server.address) as client:
+            with pytest.raises(ProtocolError):
+                client.ask_batch(audit_queries())
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# audit_queries() asks laplace, laplace, gaussian, exponential, laplace
+@pytest.mark.parametrize("mangle", [
+    lambda answers: answers[1].update(counts=["nan", "1.0"]),
+    lambda answers: answers[1].update(counts=["inf", "1.0"]),
+    lambda answers: answers[1].update(counts=["1.0"]),
+    lambda answers: [a.update(k=3, counts=a["counts"] + ["0.0"]) for a in answers[1:]],
+    lambda answers: answers[2].update(mechanism="laplace"),
+    lambda answers: answers[0].update(k="2"),
+    lambda answers: answers[0].update(noise="none"),
+    lambda answers: answers.__setitem__(0, ["1.0", "1.0"]),
+], ids=["nan-count", "infinite-count", "one-cell-for-k-2", "two-values-of-k", "wrong-mechanism",
+        "k-text", "unknown-key", "not-an-object"])
+def test_wire_ask_batch_rejects_answers_that_do_not_fit_the_batch(monkeypatch, mangle):
+    # each was accepted: a "nan" count gave sp = nan, and one cell for k = 2
+    # a plausible estimate
+    process_frame = C.process_frame
+
+    def mangled(curator, line):
+        reply = process_frame(curator, line)
+        mangle(reply["answers"])
+        return reply
+
+    monkeypatch.setattr(C, "process_frame", mangled)
     server = serving(fixed_curator(seed=79))
     try:
         with C.WireClient(*server.address) as client:

@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,14 @@ from privfair import estimator as E
 from privfair import tree as T
 from privfair.curator import Curator, InProcessClient
 from privfair.data import Dataset, SensitiveTable
-from privfair.errors import BudgetRefusal, DegenerateEstimateError, ParameterError
+from privfair.errors import BudgetRefusal, DegenerateEstimateError, MechanismError, ParameterError
 from privfair.metrics import PredictionSet, sp_ratio_kary
 
 from conftest import make_dataset, serve_in_background
 
 
-def curator_for(ds, table, budget, seed=0, allow_exact=True):
-    return Curator(ds, table, total_epsilon=budget, seed=seed, allow_exact=allow_exact)
+def curator_for(ds, table, budget, seed=0):
+    return Curator(ds, table, total_epsilon=budget, seed=seed)
 
 
 def leaf(k, n, counts):
@@ -181,16 +183,16 @@ def test_invalid_policy_validation():
 # ---------------------------------------------------------------------------
 # estimate_sp
 
-def test_single_favorable_leaf_gives_sp_one():
+def test_single_favorable_leaf_gives_sp_one(noiseless):
     ds, table = make_dataset(n=100, seed=1)
     tree = T.DecisionTree(leaf(1, ds.n, (0, ds.n)), dict(ds.feature_kinds), ds.n)
     cur = curator_for(ds, table, budget=1.0)
-    est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="exact")
+    est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="laplace")
     assert est.sp == 1.0
     assert est.query_count == 2
 
 
-def test_known_counts_fixture():
+def test_known_counts_fixture(noiseless):
     # 10 privileged with 6 favorable, 10 unprivileged with 3 favorable -> 0.5
     n = 20
     x = np.array([1.0] * 6 + [0.0] * 4 + [1.0] * 3 + [0.0] * 7)
@@ -200,12 +202,12 @@ def test_known_counts_fixture():
     root = T.Branch(T.SplitClause("x", "numeric", 0.5), leaf(0, 11, (11, 0)), leaf(1, 9, (0, 9)), n)
     tree = T.DecisionTree(root, {"x": "numeric"}, n)
     cur = curator_for(ds, table, budget=1.0)
-    est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=n, mechanism="exact")
+    est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=n, mechanism="laplace")
     assert est.sp == pytest.approx(0.5, abs=1e-12)
     assert est.accept_rates == (pytest.approx(0.3), pytest.approx(0.6))
 
 
-def test_oracle_equivalence_noiseless_stub():
+def test_oracle_equivalence_noiseless_stub(noiseless):
     for seed in range(10):
         ds, table = make_dataset(n=300, seed=seed)
         tree = T.prune_redundant(
@@ -214,7 +216,7 @@ def test_oracle_equivalence_noiseless_stub():
         preds = PredictionSet(ds.labels, T.predict_dataset(tree, ds), table.groups, table.k)
         want = sp_ratio_kary(preds)
         cur = curator_for(ds, table, budget=1.0, seed=seed)
-        est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="exact")
+        est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="laplace")
         assert est.sp == pytest.approx(want, abs=1e-12)
 
 
@@ -232,7 +234,7 @@ def test_repeat_audits_on_one_curator_each_get_a_batch():
     ds, table = make_dataset(n=200, seed=3)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
     eps = 0.5
-    cur = curator_for(ds, table, budget=2 * eps, seed=5, allow_exact=False)
+    cur = curator_for(ds, table, budget=2 * eps, seed=5)
     client = InProcessClient(cur)
     for _ in range(2):
         est = E.estimate_sp(tree, client, eps, population=ds.n, mechanism="laplace")
@@ -247,11 +249,11 @@ def test_audit_plan_is_compiled_once_per_tree_object(monkeypatch):
     pruned = []
     prune_redundant = T.prune_redundant
     monkeypatch.setattr(T, "prune_redundant", lambda t: pruned.append(t) or prune_redundant(t))
-    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5))
     first = [E.estimate_sp(tree, client, 0.5, population=ds.n, batch_id=f"b{i}") for i in (1, 2)]
     assert len(pruned) == 1 and pruned[0] is tree
     twin = T.from_record(T.to_record(tree))  # an equal tree, but a second object
-    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5))
     second = [E.estimate_sp(twin, client, 0.5, population=ds.n, batch_id=f"b{i}") for i in (1, 2)]
     assert len(pruned) == 2 and pruned[1] is twin
     assert second == first
@@ -260,7 +262,7 @@ def test_audit_plan_is_compiled_once_per_tree_object(monkeypatch):
     assert tree.audit_plan.height == prune_redundant(tree).height
 
 
-def test_query_count_within_height_bounds():
+def test_query_count_within_height_bounds(noiseless):
     ds, table = make_dataset(n=300, seed=9, label_noise=1.0)
     for seed in range(10):
         cfg = T.LearnerConfig(max_height=1 + seed % 5, minleaf_fraction=0.02, seed=seed)
@@ -268,16 +270,16 @@ def test_query_count_within_height_bounds():
         if tree.n_leaves < 2:
             continue
         cur = curator_for(ds, table, budget=1.0, seed=seed)
-        est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="exact")
+        est = E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="laplace")
         lo, hi = T.query_count_bounds(tree.height)
         assert lo <= est.query_count <= hi
 
 
-def test_only_favorable_rules_queried():
+def test_only_favorable_rules_queried(noiseless):
     ds, table = make_dataset(n=250, seed=11)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
     cur = curator_for(ds, table, budget=1.0, seed=1)
-    E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="exact")
+    E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="laplace")
     digests = {entry.digest for entry in cur.ledger().entries}
     from privfair.curator import CuratorQuery
 
@@ -286,22 +288,22 @@ def test_only_favorable_rules_queried():
             continue
         # any unfavorable predicate, parallel or sequential, is absent
         for batch in ("b", None):
-            probe = CuratorQuery(clauses, 0.5, "exact", batch_id=batch)
+            probe = CuratorQuery(clauses, 0.5, "laplace", batch_id=batch)
             assert probe.digest() not in digests
 
 
-def test_unfavorable_single_leaf_degenerate():
+def test_unfavorable_single_leaf_degenerate(noiseless):
     ds, table = make_dataset(n=100, seed=13)
     tree = T.DecisionTree(leaf(0, ds.n, (ds.n, 0)), dict(ds.feature_kinds), ds.n)
     cur = curator_for(ds, table, budget=1.0)
     with pytest.raises(DegenerateEstimateError):
-        E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="exact")
+        E.estimate_sp(tree, InProcessClient(cur), 1.0, population=ds.n, mechanism="laplace")
 
 
 def test_budget_refusal_aborts():
     ds, table = make_dataset(n=150, seed=17)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
-    cur = curator_for(ds, table, budget=0.4, allow_exact=False)
+    cur = curator_for(ds, table, budget=0.4)
     with pytest.raises(BudgetRefusal):
         E.estimate_sp(tree, InProcessClient(cur), 0.5, population=ds.n, mechanism="laplace")
     # the audit is one request: refused whole, it spends nothing
@@ -313,7 +315,7 @@ def test_sp_always_in_unit_interval():
     ds, table = make_dataset(n=200, seed=19)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
     for run in range(30):
-        cur = curator_for(ds, table, budget=0.2, seed=run, allow_exact=False)
+        cur = curator_for(ds, table, budget=0.2, seed=run)
         est = E.estimate_sp(tree, InProcessClient(cur), 0.2, population=ds.n,
                             mechanism="laplace")
         assert 0.0 <= est.sp <= 1.0
@@ -328,7 +330,7 @@ def test_invalid_ratio_decreases_with_epsilon():
     def mean_invalid(eps):
         ratios = []
         for run in range(50):
-            cur = curator_for(ds, table, budget=eps, seed=1000 + run, allow_exact=False)
+            cur = curator_for(ds, table, budget=eps, seed=1000 + run)
             est = E.estimate_sp(tree, InProcessClient(cur), eps, population=ds.n,
                                 mechanism="laplace")
             ratios.append(est.invalid_ratio)
@@ -341,7 +343,7 @@ def test_exponential_estimates_have_no_invalid_cells():
     ds, table = make_dataset(n=200, seed=23)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=3, minleaf_fraction=0.02)))
     for run in range(10):
-        cur = curator_for(ds, table, budget=0.3, seed=run, allow_exact=False)
+        cur = curator_for(ds, table, budget=0.3, seed=run)
         est = E.estimate_sp(tree, InProcessClient(cur), 0.3, population=ds.n,
                             mechanism="exponential")
         assert est.invalid_cells == 0
@@ -350,10 +352,10 @@ def test_exponential_estimates_have_no_invalid_cells():
 def test_gaussian_requires_delta():
     ds, table = make_dataset(n=150, seed=29)
     tree = T.prune_redundant(T.fit(ds, T.LearnerConfig(max_height=2, minleaf_fraction=0.02)))
-    cur = curator_for(ds, table, budget=0.5, allow_exact=False)
+    cur = curator_for(ds, table, budget=0.5)
     with pytest.raises(ParameterError):
         E.estimate_sp(tree, InProcessClient(cur), 0.5, population=ds.n, mechanism="gaussian")
-    cur2 = curator_for(ds, table, budget=0.5, seed=3, allow_exact=False)
+    cur2 = curator_for(ds, table, budget=0.5, seed=3)
     est = E.estimate_sp(tree, InProcessClient(cur2), 0.5, population=ds.n,
                         mechanism="gaussian", delta=1e-3)
     assert 0.0 <= est.sp <= 1.0
@@ -407,6 +409,43 @@ def test_rule_uniform_repair_uses_noisy_rule_total():
     assert est.invalid_cells == 1
 
 
+class SilentClient:
+    """A client that must never be asked."""
+
+    def ask_batch(self, queries):
+        raise AssertionError("a query was sent")
+
+
+@pytest.mark.parametrize("epsilon, mechanism, delta, error", [
+    (0.5, "exact", 0.0, MechanismError),
+    (0.0, "laplace", 0.0, ParameterError),
+    (-1.0, "exponential", 0.0, ParameterError),
+    (2.5, "gaussian", 1e-5, ParameterError),
+], ids=["unknown-mechanism", "zero-epsilon", "negative-epsilon", "gaussian-limit"])
+def test_audit_whose_queries_cannot_be_built_asks_nothing(epsilon, mechanism, delta, error):
+    # an unknown mechanism and a Gaussian half budget of 1.25 went out and
+    # were refused only by the curator
+    with pytest.raises(error):
+        E.estimate_sp(two_leaf_tree(), SilentClient(), epsilon, population=10,
+                      mechanism=mechanism, delta=delta)
+
+
+def test_gaussian_audit_over_its_limit_sends_no_bytes():
+    # the wire client sent the 1 + R query batch and exited as a protocol
+    # error, where the in-process audit raised a parameter error
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        with C.WireClient(*listener.getsockname()[:2], timeout=5) as client:
+            with pytest.raises(ParameterError, match="gaussian mechanism needs 0 < epsilon < 1"):
+                E.estimate_sp(two_leaf_tree(), client, 2.5, population=10, mechanism="gaussian",
+                              delta=1e-5)
+        conn, _ = listener.accept()
+        with conn:
+            assert conn.recv(1 << 16) == b""
+    finally:
+        listener.close()
+
+
 class RecordingClient(InProcessClient):
     """An in-process client that records every call the auditor makes."""
 
@@ -425,14 +464,14 @@ def test_audit_is_one_batch_request_identical_to_one_by_one(mechanism, delta):
     ds, table = make_dataset(n=300, seed=31)
     tree = T.fit(ds, T.LearnerConfig(max_height=4, minleaf_fraction=0.02))
     n_rules = len(T.favorable_rules(T.prune_redundant(tree)))
-    cur = curator_for(ds, table, budget=1.0, seed=9, allow_exact=False)
+    cur = curator_for(ds, table, budget=1.0, seed=9)
     client = RecordingClient(cur)
     est = E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=mechanism, delta=delta)
     assert [kind for kind, _ in client.calls] == ["ask_batch"]
     queries = client.calls[0][1]
     assert len(queries) == 1 + n_rules == est.query_count
 
-    ref = curator_for(ds, table, budget=1.0, seed=9, allow_exact=False)
+    ref = curator_for(ds, table, budget=1.0, seed=9)
     answers = [ref.answer(q) for q in queries]
     stub = StubClient([a.counts for a in answers], k=table.k)
     assert E.estimate_sp(tree, stub, 0.5, population=ds.n, mechanism=mechanism,
@@ -453,7 +492,7 @@ def test_wire_audit_is_bit_identical_and_one_round_trip(monkeypatch):
         return process_frame(curator, line)
 
     monkeypatch.setattr(C, "process_frame", counting)
-    server = C.CuratorServer(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    server = C.CuratorServer(curator_for(ds, table, budget=2.0, seed=5))
     serve_in_background(server)
     try:
         with C.WireClient(*server.address) as client:
@@ -463,7 +502,7 @@ def test_wire_audit_is_bit_identical_and_one_round_trip(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
-    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5, allow_exact=False))
+    client = InProcessClient(curator_for(ds, table, budget=2.0, seed=5))
     local = [E.estimate_sp(tree, client, 0.5, population=ds.n, mechanism=m, delta=1e-3,
                            batch_id=f"b-{m}")
              for m in ("laplace", "exponential", "gaussian")]

@@ -296,10 +296,10 @@ def test_exp1_has_welch_rows(exp1_result):
     assert all(math.isfinite(r["p_value"]) for r in rows)
 
 
-def test_exp1_noiseless_stub_zero_error(splits):
+def test_exp1_noiseless_stub_zero_error(splits, noiseless):
     train_ds, test_ds, test_table = splits
     space = X.TreeSearchSpace(heights=(3,), leaf_counts=(8,), feature_modes=("all",))
-    config = exp1_config(mechanisms=("exact",), runs=2, epsilons=(0.5,))
+    config = exp1_config(mechanisms=("laplace",), runs=2, epsilons=(0.5,))
     result = X.run_experiment_1(train_ds, test_ds, test_table, config, search_space=space)
     assert all(r["abs_error"] == pytest.approx(0.0, abs=1e-12) for r in result.records)
 
@@ -360,9 +360,9 @@ def test_exp2_1_heatmap(exp2_result):
         assert -1.0 <= value <= 1.0
 
 
-def test_exp2_1_perfect_stub_cells_are_one(splits):
+def test_exp2_1_perfect_stub_cells_are_one(splits, noiseless):
     train_ds, test_ds, test_table = splits
-    config = exp2_config(mechanisms=("exact",), runs=3)
+    config = exp2_config(mechanisms=("laplace",), runs=3)
     result = X.run_experiment_2(train_ds, test_ds, test_table, config)
     grid, _ = X.run_experiment_2_1(result)
     for value in grid.values():
